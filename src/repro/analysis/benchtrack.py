@@ -29,7 +29,6 @@ without real sleeping.
 from __future__ import annotations
 
 import json
-import os
 import re
 import socket
 from dataclasses import dataclass
@@ -39,6 +38,7 @@ from time import perf_counter
 from typing import Sequence
 
 from repro.analysis.stats import RegressionCheck, regression_gate
+from repro.durable import atomic_write
 from repro.obs.events import EventBus
 from repro.obs.log import git_describe
 from repro.obs.metrics import MetricsCollector
@@ -153,14 +153,11 @@ def measure_sharded(
     Each pass builds a fresh :class:`~repro.shard.supervisor.ShardSupervisor`
     (inproc housing, periodic checkpoints off — the fleet's steady-state
     dispatch cost is the tracked statistic, not snapshot serialization)
-    in a throwaway state directory and drives the workload's request
+    in its own temp state directory and drives the workload's request
     stream through padded rounds.  The final pass's ``fleet/`` counters
     are snapshotted; they are deterministic for the fingerprint, so any
     drift under ``--compare`` is a behaviour change.
     """
-    import shutil
-    import tempfile
-
     from repro.shard import ShardSettings, ShardSupervisor
     from repro.workloads.spec import get_workload
 
@@ -171,9 +168,7 @@ def measure_sharded(
     )
 
     def one_pass() -> tuple[float, ShardSupervisor]:
-        tmp = tempfile.mkdtemp(prefix="repro-bench-shards-")
-        sup = ShardSupervisor(config, seed=seed, state_dir=tmp,
-                              settings=settings)
+        sup = ShardSupervisor(config, seed=seed, settings=settings)
         try:
             sup.start()
             reqs = get_workload(workload).requests(
@@ -186,7 +181,6 @@ def measure_sharded(
             elapsed = perf_counter() - start
         finally:
             sup.close()
-            shutil.rmtree(tmp, ignore_errors=True)
         return elapsed, sup
 
     wall: list[float] = []
@@ -222,7 +216,7 @@ class BenchHistory:
     """Append-only per-host benchmark history (``BENCH_<host>.json``).
 
     The file holds ``{"schema": 1, "entries": [...]}``; appends are a
-    read-modify-write with an atomic ``os.replace``, so a crashed bench
+    read-modify-write published with ``atomic_write``, so a crashed bench
     run can never leave a torn file behind.
     """
 
@@ -245,14 +239,15 @@ class BenchHistory:
         return list(payload.get("entries", []))
 
     def _write(self, entries: list[dict[str, object]]) -> None:
-        """Atomically persist ``entries`` (write-temp + ``os.replace``)."""
+        """Atomically persist ``entries`` (:func:`atomic_write`)."""
         self.directory.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_suffix(".json.tmp")
-        with open(tmp, "w") as stream:
+
+        def write(stream) -> None:
             json.dump({"schema": self.SCHEMA, "entries": entries}, stream,
                       indent=2, sort_keys=False)
             stream.write("\n")
-        os.replace(tmp, self.path)
+
+        atomic_write(self.path, write)
 
     def append(self, entry: dict[str, object]) -> int:
         """Append ``entry``; returns the total entry count after the write."""
@@ -272,7 +267,7 @@ class BenchHistory:
         fingerprints — including deliberately retained pre-change records
         under a different config — are untouched.  Falls back to a plain
         append when the fingerprint has no prior entry.  The write is the
-        same atomic read-modify-``os.replace`` as :meth:`append`.
+        same atomic read-modify-write as :meth:`append`.
 
         Returns the total entry count after the write.
         """

@@ -15,7 +15,7 @@ cleanly; the schema version (``repro.serialize.SCHEMA_VERSION``) is
 folded in so entries written by an older serialization layout can never
 be deserialized into a newer one.
 
-Entries are JSON files written atomically (temp file + ``os.replace``)
+Entries are JSON files written with :func:`~repro.durable.atomic_write`
 under two-level fan-out directories, safe for concurrent writers: the
 worst case for two processes racing on the same key is one wasted
 simulation, never a torn file.  Corrupt or unreadable entries are treated
@@ -25,12 +25,11 @@ as misses and overwritten.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import warnings
 from pathlib import Path
 from typing import Callable
 
+from repro.durable import atomic_write
 from repro.serialize import SCHEMA_VERSION, stable_hash
 from repro.system.metrics import SimulationResult
 
@@ -118,19 +117,12 @@ class ResultCache:
         if self.write_disabled:
             return False
         path = self.path_for(key)
-        tmp = None
         try:
             if self.fault_hook is not None:
                 self.fault_hook()
             path.parent.mkdir(parents=True, exist_ok=True)
             payload = {"schema": SCHEMA_VERSION, "result": result.to_dict()}
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=path.name, suffix=".tmp"
-            )
-            with os.fdopen(fd, "w") as stream:
-                json.dump(payload, stream)
-            os.replace(tmp, path)
-            tmp = None
+            atomic_write(path, lambda stream: json.dump(payload, stream))
         except OSError as exc:
             self.put_errors += 1
             self.write_disabled = True
@@ -142,12 +134,6 @@ class ResultCache:
                 stacklevel=2,
             )
             return False
-        finally:
-            if tmp is not None:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
         self.stores += 1
         return True
 

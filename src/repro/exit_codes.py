@@ -2,14 +2,17 @@
 
 Historically these constants were scattered through :mod:`repro.cli`;
 they live here so the CLI, the serve/load stack, CI jobs, and the README
-all agree on one contract.  Codes 1 and 2 are left to Python itself
-(unhandled exception, argparse usage error); 130 follows the shell
-convention of ``128 + SIGINT``.
+all agree on one contract.  Code 1 is left to Python itself (unhandled
+exception); 130 follows the shell convention of ``128 + SIGINT``.
 
 ============================  ====  ===============================================
 constant                      code  meaning
 ============================  ====  ===============================================
 ``EXIT_OK``                      0  success
+``EXIT_USAGE``                   2  bad command line: argparse rejected it, or
+                                    a flag combination no run can honour
+                                    (e.g. ``serve --restore`` without
+                                    ``--shard-dir``)
 ``EXIT_SWEEP_FAILED``            3  a sweep/faults run finished with failed or
                                     unresolved grid points (``sweep --resume``
                                     still owed points also exits 3)
@@ -36,6 +39,7 @@ constant                      code  meaning
 from __future__ import annotations
 
 EXIT_OK = 0
+EXIT_USAGE = 2
 EXIT_SWEEP_FAILED = 3
 EXIT_BENCH_REGRESSION = 4
 EXIT_TRACE_INVALID = 5
@@ -46,6 +50,7 @@ EXIT_INTERRUPTED = 130
 #: code -> one-line description, for ``--help`` epilogs and docs.
 EXIT_CODES: dict[int, str] = {
     EXIT_OK: "success",
+    EXIT_USAGE: "bad command line (usage error)",
     EXIT_SWEEP_FAILED: "sweep finished with failed or unresolved points",
     EXIT_BENCH_REGRESSION: "bench --compare detected a perf regression",
     EXIT_TRACE_INVALID: "trace analyze found an invalid span tree",
@@ -63,4 +68,5 @@ __all__ = [
     "EXIT_SLO_BREACH",
     "EXIT_SWEEP_FAILED",
     "EXIT_TRACE_INVALID",
+    "EXIT_USAGE",
 ]

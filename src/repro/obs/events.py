@@ -328,8 +328,8 @@ class ServeRequestServed:
     Emitted by :class:`~repro.serve.server.OramServer` after the ORAM
     access returns, carrying both clocks: ``wall_ms`` is queue-to-reply
     host time, ``latency_cycles`` the bridge's simulated access latency.
-    ``ts`` is the server's monotone progress stamp (served-access
-    ordinal for sharded fleets, simulated cycles otherwise).
+    ``ts`` is the server's monotone progress stamp, the fleet's
+    served-access ordinal.
     """
 
     addr: int

@@ -7,7 +7,7 @@ events are the already-constructed frozen dataclasses the bus delivered;
 the ring only holds references and evicts by count.  When the serving
 layer goes down (injected crash, SLO breach, SIGTERM drain) it calls
 :meth:`dump`, which writes a timestamped JSONL post-mortem atomically
-(temp file + ``os.replace``, the :mod:`repro.system.checkpoint` idiom):
+(:func:`~repro.durable.atomic_write`):
 a ``{"meta": ...}`` header line, then one
 :func:`~repro.obs.events.event_to_dict` record per line, oldest first.
 
@@ -25,12 +25,11 @@ the header) and runs the same cycle-exact invariant checks as on a live
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import time
 from collections import deque
 from pathlib import Path
 
+from repro.durable import atomic_write
 from repro.obs.events import (
     EVENT_BY_NAME,
     EventBus,
@@ -103,42 +102,29 @@ class FlightRecorder:
         ) or "dump"
         events = self.events()
         final = target_dir / f"postmortem-{stamp}-{int(now * 1000) % 100000:05d}-{slug}.jsonl"
-        fd, tmp_name = tempfile.mkstemp(
-            dir=target_dir, prefix=final.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as stream:
+        meta = {
+            "kind": "flight-recorder",
+            "schema": POSTMORTEM_SCHEMA,
+            "reason": reason,
+            "ts": now,
+            "captured": len(events),
+            "dropped": self.dropped,
+            "capacity": self.capacity,
+        }
+
+        def write(stream) -> None:
+            json.dump({"meta": meta}, stream, sort_keys=True)
+            stream.write("\n")
+            for event in events:
                 json.dump(
-                    {
-                        "meta": {
-                            "kind": "flight-recorder",
-                            "schema": POSTMORTEM_SCHEMA,
-                            "reason": reason,
-                            "ts": now,
-                            "captured": len(events),
-                            "dropped": self.dropped,
-                            "capacity": self.capacity,
-                        }
-                    },
+                    event_to_dict(event),
                     stream,
-                    sort_keys=True,
+                    separators=(",", ":"),
+                    default=str,
                 )
                 stream.write("\n")
-                for event in events:
-                    json.dump(
-                        event_to_dict(event),
-                        stream,
-                        separators=(",", ":"),
-                        default=str,
-                    )
-                    stream.write("\n")
-            os.replace(tmp_name, final)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+
+        atomic_write(final, write)
         self.dumps.append(final)
         return final
 

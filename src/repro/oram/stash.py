@@ -104,16 +104,6 @@ class Stash:
         """
         return self._real.values()
 
-    def iter_shadow(self):
-        """Live view over shadow blocks in FIFO order (no copy).
-
-        The insertion-ordered ``_shadow`` dict *is* the intrusive shadow
-        free-list: the head (first key) is the next drop victim, removal
-        and re-insertion are O(1) dict operations, and no auxiliary order
-        structure needs maintaining.
-        """
-        return self._shadow.values()
-
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
@@ -243,10 +233,6 @@ class Stash:
                 real=len(self._real), shadow=len(self._shadow), ts=bus.now
             )
         )
-
-    def _make_room_for_shadow(self) -> None:
-        if len(self._real) + len(self._shadow) + 1 > self.capacity:
-            self._drop_one_shadow()
 
     def _drop_one_shadow(self) -> None:
         if not self._shadow:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from repro.obs.events import EventBus
 from repro.oram.tiny import Observer
-from repro.serialize import SCHEMA_VERSION, stable_hash
+from repro.serialize import stable_hash
 from repro.system.backend import build_oram_controller
 from repro.system.config import SystemConfig
 from repro.system.timing import RequestScheduler
@@ -64,9 +64,7 @@ class OramServeBridge:
         observer: Adversary-view callback ``(kind, leaf, time)``.
 
     Attributes:
-        served: Total accesses applied — the checkpoint/crash ordinal the
-            fault injector and :class:`~repro.system.checkpoint.Checkpointer`
-            key on.
+        served: Total accesses applied.
         clock: Simulated cycle count; the next access becomes ready here.
     """
 
@@ -93,11 +91,6 @@ class OramServeBridge:
         self.served = 0
 
     # ------------------------------------------------------------------
-    @property
-    def num_blocks(self) -> int:
-        """Number of ORAM addresses available for session mapping."""
-        return self.config.oram.num_blocks
-
     def access(self, addr: int, op: str, payload: object = None) -> ServedAccess:
         """Apply one request to the ORAM; advances the simulated clock."""
         controller = self.controller
@@ -127,15 +120,6 @@ class OramServeBridge:
     # ------------------------------------------------------------------
     # Durability: the serve-path extension of the checkpoint contract
     # ------------------------------------------------------------------
-    def run_key(self) -> dict[str, object]:
-        """Identity for checkpoint files (see :class:`Checkpointer`)."""
-        return {
-            "kind": "serve",
-            "config": self.config.fingerprint(),
-            "seed": self.seed,
-            "schema": SCHEMA_VERSION,
-        }
-
     def snapshot_state(self) -> dict[str, object]:
         """Full bridged state: controller + scheduler + serve cursors."""
         return {

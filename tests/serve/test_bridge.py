@@ -54,15 +54,6 @@ class TestAccess:
 
 
 class TestDurability:
-    def test_run_key_identifies_config_and_seed(self):
-        key = OramServeBridge(small_config(), seed=9).run_key()
-        assert key["kind"] == "serve"
-        assert key["seed"] == 9
-        other = OramServeBridge(
-            SystemConfig.tiny(oram=OramConfig(levels=8)), seed=9
-        ).run_key()
-        assert other["config"] != key["config"]
-
     def test_snapshot_restore_resumes_bit_identical(self):
         addrs = list(range(20)) + [2, 4, 6, 8] * 3
         reference = OramServeBridge(small_config(), seed=3)

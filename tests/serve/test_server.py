@@ -12,8 +12,8 @@ import pytest
 
 from repro.faults import FaultPlan, ServerCrash
 from repro.oram.config import OramConfig
-from repro.serve import OramServer, OramServeBridge, ServeSettings, protocol
-from repro.system.checkpoint import Checkpointer
+from repro.serve import OramServer, ServeSettings, protocol
+from repro.shard import ShardSettings, ShardSupervisor
 from repro.system.config import SystemConfig
 
 
@@ -416,20 +416,35 @@ class TestClientFailures:
         run(main())
 
 
-class TestCrashRecovery:
-    def test_crash_then_restore_is_bit_identical(self, tmp_path):
-        """Kill at a checkpoint boundary, restore, finish: the ORAM state
-        and the adversary trace match an uninterrupted run exactly."""
-        addrs = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2, 3, 8, 4]
-        crash_at = 10  # aligned to checkpoint_every=5
+def durable_fleet(state_dir, observer):
+    """The default server's 1-shard fleet, kept in ``state_dir``."""
+    return ShardSupervisor(
+        small_config(), 1, state_dir,
+        settings=ShardSettings(num_shards=1, checkpoint_every=5),
+        observer=observer,
+    )
 
-        # Reference: one uninterrupted bridge fed the same sequence.
+
+class TestCrashRecovery:
+    ADDRS = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2, 3, 8, 4]
+
+    def crash_and_restore(self, tmp_path, crash_at):
+        """Kill the server before access ``crash_at + 1``, restore, finish.
+
+        Returns the restored run's final digest and adversary trace, the
+        crashed run's trace, and an uninterrupted reference's digest and
+        trace for the same access sequence.
+        """
+        addrs = self.ADDRS
+
         reference_trace = []
-        reference = OramServeBridge(
-            small_config(), seed=1, observer=reference_trace.append
+        reference = durable_fleet(
+            tmp_path / "reference", reference_trace.append
         )
+        reference.start()
         for addr in addrs:
             reference.access(addr, "read")
+        reference.close()
 
         async def crashing_half():
             injector = FaultPlan(
@@ -438,12 +453,9 @@ class TestCrashRecovery:
             server = OramServer(
                 small_config(),
                 seed=1,
-                settings=make_settings(
-                    max_clients=1, checkpoint_every=5
-                ),
+                settings=make_settings(max_clients=1),
                 injector=injector,
-                checkpointer=Checkpointer(tmp_path / "ckpt"),
-                observer=first_trace.append,
+                bridge=durable_fleet(tmp_path / "fleet", first_trace.append),
             )
             await server.start()
             client = await Client.connect(server)
@@ -471,12 +483,9 @@ class TestCrashRecovery:
             server = OramServer(
                 small_config(),
                 seed=1,
-                settings=make_settings(
-                    max_clients=1, checkpoint_every=5
-                ),
-                checkpointer=Checkpointer(tmp_path / "ckpt"),
+                settings=make_settings(max_clients=1),
                 restore=True,
-                observer=resumed_trace.append,
+                bridge=durable_fleet(tmp_path / "fleet", resumed_trace.append),
             )
             await server.start()
             assert server.bridge.served == crash_at
@@ -486,17 +495,37 @@ class TestCrashRecovery:
                 assert resp["status"] == protocol.STATUS_OK
             await client.close()
             await drain_and_stop(server)
+            assert server.stats_snapshot()["serve/restored"] == 1
             return server.bridge.state_digest()
 
         resumed_trace = []
         digest = run(restored_half())
+        return (digest, first_trace, resumed_trace,
+                reference.state_digest(), reference_trace)
 
+    def test_crash_then_restore_is_bit_identical(self, tmp_path):
+        """Kill at a checkpoint boundary, restore, finish: the ORAM state
+        and the adversary trace match an uninterrupted run exactly."""
+        digest, first, resumed, ref_digest, ref_trace = (
+            self.crash_and_restore(tmp_path, crash_at=10)
+        )
         # Bit-identity: same digest as the uninterrupted reference...
-        assert digest == reference.state_digest()
+        assert digest == ref_digest
         # ...and the adversary-visible path sequence lines up: what the
         # restarted server emitted is exactly the reference's tail.
-        assert resumed_trace == reference_trace[len(first_trace):]
-        assert first_trace == reference_trace[: len(first_trace)]
+        assert resumed == ref_trace[len(first):]
+        assert first == ref_trace[: len(first)]
+
+    def test_crash_between_checkpoints_loses_nothing(self, tmp_path):
+        """Kill two accesses past the last snapshot (checkpoint_every=5):
+        the restore replays accesses 6-7 from the intent log, so the
+        state and the post-restore trace still match the reference."""
+        digest, first, resumed, ref_digest, ref_trace = (
+            self.crash_and_restore(tmp_path, crash_at=7)
+        )
+        assert digest == ref_digest
+        assert resumed == ref_trace[len(first):]
+        assert first == ref_trace[: len(first)]
 
     def test_crash_sets_exit_code(self):
         from repro.exit_codes import EXIT_SERVE_FAILED
@@ -547,6 +576,11 @@ class TestSettings:
     def test_invalid_settings_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ServeSettings(**kwargs)
+
+    def test_default_space_is_the_oram_capacity(self):
+        server = OramServer(small_config(), settings=make_settings())
+        assert server.bridge.settings.num_shards == 1
+        assert server.bridge.num_blocks == small_config().oram.num_blocks
 
     def test_oversubscribed_address_space_rejected(self):
         with pytest.raises(ValueError, match="exceed"):

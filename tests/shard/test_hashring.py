@@ -81,6 +81,14 @@ class TestFit:
         assert max(loads) <= 638
         assert min(loads) > 0
 
+    def test_one_shard_owns_the_full_capacity_in_place(self):
+        ring = HashRing.fit(1, capacity=638)
+        assert ring.space == 638
+        assert all(
+            ring.shard_of(a) == 0 and ring.local_of(a) == a
+            for a in range(638)
+        )
+
     def test_describe_reports_balance(self):
         info = HashRing.fit(4, capacity=158).describe()
         assert info["num_shards"] == 4

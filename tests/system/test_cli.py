@@ -1,10 +1,18 @@
 """Tests for the command-line interface."""
 
+import asyncio
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_config, main, make_parser
+from repro.exit_codes import EXIT_OK, EXIT_USAGE
+from repro.serve import LoadSettings, run_load
 
 
 class TestBuildConfig:
@@ -215,3 +223,53 @@ class TestSweepTelemetryFlags:
         assert "\r" not in captured.out
         assert "not a TTY" in captured.err
         assert "[2/2]" in captured.out  # final plain progress line
+
+
+class TestServeFlags:
+    SERVE = ["serve", "--scheme", "dynamic-3", "--levels", "8", "--port", "0"]
+
+    def test_restore_needs_shard_dir(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(self.SERVE + ["--restore"])
+        assert exc.value.code == EXIT_USAGE
+        assert "--shard-dir" in capsys.readouterr().err
+
+    def test_adversary_trace_refuses_process_shards(self, tmp_path, capsys):
+        trace = tmp_path / "adversary.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(self.SERVE + ["--shards", "2", "--shard-mode", "process",
+                               "--adversary-trace", str(trace)])
+        assert exc.value.code == EXIT_USAGE
+        assert "--adversary-trace" in capsys.readouterr().err
+        assert not trace.exists()
+
+    def test_adversary_trace_records_inproc_shards(self, tmp_path):
+        trace = tmp_path / "adversary.jsonl"
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", *self.SERVE, "--shards", "2",
+             "--adversary-trace", str(trace)],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=env,
+        )
+        try:
+            for line in proc.stdout:
+                if line.startswith("listening on "):
+                    port = int(line.split()[2].rsplit(":", 1)[1])
+                    break
+            else:
+                pytest.fail("serve exited before listening")
+            report = asyncio.run(run_load(LoadSettings(
+                port=port, clients=1, requests=12, rate=1000.0,
+                shutdown_after=True,
+            )))
+            assert proc.wait(timeout=60) == EXIT_OK
+        finally:
+            proc.kill()
+            proc.stdout.close()
+        assert report["served"] == 12
+        header, *records = map(json.loads, trace.read_text().splitlines())
+        assert header["type"] == "run_metadata"
+        assert records
+        assert {r["type"] for r in records} == {"path_access"}
+        assert "read" in {r["kind"] for r in records}

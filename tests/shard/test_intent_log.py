@@ -52,6 +52,41 @@ class TestRoundTrip:
         log.close()
 
 
+class TestTrim:
+    def test_trim_drops_the_prefix_and_survives_reopen(self, tmp_path):
+        path = filled_log(tmp_path / "intents.log", n=7)
+        log = IntentLog(path, run_key=RUN)
+        log.trim(4)
+        assert (log.base, log.length, log.real_count) == (4, 7, 4)
+        log.append(Intent(7, "real", addr=1, op="write", value="w"))
+        log.close()
+        again = IntentLog(path, run_key=RUN)
+        assert (again.base, again.length, again.real_count) == (4, 8, 5)
+        assert [e.ordinal for e in again.entries_from(4)] == [4, 5, 6, 7]
+        with pytest.raises(IntentLogCorrupt, match="retained history"):
+            again.entries_from(3)
+        again.close()
+
+    def test_pathless_log_keeps_only_counters(self):
+        log = IntentLog(None, run_key=RUN)
+        log.append(Intent(0, "real", addr=1, op="read"))
+        log.append(Intent(1, "dummy", addr=2, op="read"))
+        assert (log.base, log.length, log.real_count) == (2, 2, 1)
+        assert log.entries_from(2) == []
+        with pytest.raises(IntentLogCorrupt):
+            log.entries_from(0)
+        log.close()
+
+    def test_trim_never_moves_backwards_or_past_the_tip(self, tmp_path):
+        log = IntentLog(filled_log(tmp_path / "intents.log"), run_key=RUN)
+        log.trim(3)
+        log.trim(1)
+        assert log.base == 3
+        log.trim(99)
+        assert (log.base, log.length, log.entries_from(5)) == (5, 5, [])
+        log.close()
+
+
 class TestFailureModel:
     def test_torn_tail_is_dropped(self, tmp_path):
         path = filled_log(tmp_path / "intents.log")

@@ -10,6 +10,7 @@ healthy shards keep serving while the dead partition sheds with
 """
 
 import asyncio
+import threading
 
 from repro.faults import FaultPlan
 from repro.oram.config import OramConfig
@@ -247,6 +248,68 @@ class TestShardCrashUnderLoad:
             assert stats["serve/served"] == 11
             assert stats["serve/shed_shard_down"] == 1
             assert_identity(stats)
+
+        run(main())
+
+
+    def test_event_loop_answers_while_a_slow_recovery_runs(self, tmp_path):
+        """A background recovery holds the fleet lock for its whole
+        replay; inproc accesses must then leave the event loop, so
+        admission and the health probe still answer meanwhile."""
+        async def main():
+            injector = FaultPlan.parse(
+                ["shard-crash:shard=1,at_access=5"], seed=0
+            ).injector(in_worker=False)
+            sup = make_supervisor(tmp_path, injector=injector)
+            entered, release = threading.Event(), threading.Event()
+            released_in_time = []
+            rebuild = sup._rebuild
+
+            def slow_rebuild(st):
+                entered.set()
+                released_in_time.append(release.wait(10))
+                return rebuild(st)
+
+            sup._rebuild = slow_rebuild
+            server = make_server(sup, heartbeat_s=0.05)
+            await server.start()
+            client = await Client.connect(server)
+            admin = await Client.connect(server)
+            space = server.client_space
+            healthy = [a for a in range(space) if sup.ring.shard_of(a) != 1]
+            # The admin session's addresses start at client_space.
+            doomed = [
+                a for a in range(space)
+                if sup.ring.shard_of(space + a) == 1
+            ]
+            # Shard 1 dies on a padding slot; the heartbeat starts its
+            # recovery, which stalls in slow_rebuild.
+            for i in range(10):
+                resp = await client.req(i, healthy[i % len(healthy)])
+                assert resp["status"] == protocol.STATUS_OK
+            loop = asyncio.get_running_loop()
+            assert await loop.run_in_executor(None, entered.wait, 10)
+            # A healthy-shard request waits for the fleet lock...
+            pending = asyncio.ensure_future(client.req(100, healthy[0]))
+            await asyncio.sleep(0.05)
+            # ...while the loop still sheds the dead partition and
+            # answers the health probe.
+            resp = await admin.req(200, doomed[0])
+            assert resp["status"] == protocol.STATUS_RETRY_AFTER
+            admin.writer.write(protocol.encode({"type": "health"}))
+            await admin.writer.drain()
+            health = protocol.decode(
+                await asyncio.wait_for(admin.reader.readline(), 5)
+            )
+            assert health["type"] == "health"
+            assert not pending.done()
+            release.set()
+            assert (await pending)["status"] == protocol.STATUS_OK
+            assert released_in_time == [True]
+            await client.close()
+            await admin.close()
+            await drain_and_stop(server)
+            assert_identity(server.stats_snapshot())
 
         run(main())
 

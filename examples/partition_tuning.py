@@ -13,8 +13,9 @@ Usage::
 
 import sys
 
-from repro import SystemConfig, simulate
 from repro.analysis.report import print_table
+from repro.system.config import SystemConfig
+from repro.system.simulator import simulate
 
 NUM_REQUESTS = 15_000
 

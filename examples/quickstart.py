@@ -11,8 +11,9 @@ Usage::
 
 import sys
 
-from repro import SystemConfig, simulate
 from repro.analysis.report import print_table
+from repro.system.config import SystemConfig
+from repro.system.simulator import simulate
 
 
 def main() -> None:

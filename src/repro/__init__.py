@@ -13,57 +13,9 @@ The package provides:
 
 Quickstart::
 
-    from repro import SystemConfig, simulate
+    from repro.system.config import SystemConfig
+    from repro.system.simulator import simulate
     tiny = simulate(SystemConfig.tiny(), "mcf", num_requests=20_000)
     shadow = simulate(SystemConfig.dynamic(3), "mcf", num_requests=20_000)
     print(tiny.total_cycles / shadow.total_cycles)  # speedup
 """
-
-from repro.core.config import ShadowConfig
-from repro.core.controller import ShadowOramController
-from repro.cpu.cache import CacheConfig, CacheHierarchy
-from repro.cpu.core import CpuConfig
-from repro.cpu.trace import LlcMiss, MemoryRequest, MissTrace
-from repro.mem.dram import DramConfig, DramModel
-from repro.oram.block import Block
-from repro.oram.config import OramConfig
-from repro.oram.stash import Stash, StashOverflowError
-from repro.oram.tiny import AccessResult, TinyOramController
-from repro.oram.tree import OramTree
-from repro.system.config import SystemConfig, TimingProtectionConfig
-from repro.system.metrics import NormalizedResult, SimulationResult, geomean
-from repro.system.simulator import SystemSimulator, build_miss_trace, simulate
-from repro.workloads.spec import WORKLOADS, get_workload, workload_names
-
-__version__ = "1.0.0"
-
-__all__ = [
-    "AccessResult",
-    "Block",
-    "CacheConfig",
-    "CacheHierarchy",
-    "CpuConfig",
-    "DramConfig",
-    "DramModel",
-    "LlcMiss",
-    "MemoryRequest",
-    "MissTrace",
-    "NormalizedResult",
-    "OramConfig",
-    "OramTree",
-    "ShadowConfig",
-    "ShadowOramController",
-    "SimulationResult",
-    "Stash",
-    "StashOverflowError",
-    "SystemConfig",
-    "SystemSimulator",
-    "TimingProtectionConfig",
-    "TinyOramController",
-    "WORKLOADS",
-    "build_miss_trace",
-    "geomean",
-    "get_workload",
-    "simulate",
-    "workload_names",
-]

@@ -158,7 +158,7 @@ def measure_sharded(
     are snapshotted; they are deterministic for the fingerprint, so any
     drift under ``--compare`` is a behaviour change.
     """
-    from repro.shard import ShardSettings, ShardSupervisor
+    from repro.shard.supervisor import ShardSettings, ShardSupervisor
     from repro.workloads.spec import get_workload
 
     if repeats < 1:

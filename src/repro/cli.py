@@ -46,36 +46,28 @@ from repro.exit_codes import (
     EXIT_TRACE_INVALID,
     EXIT_USAGE,
 )
-from repro.faults import (
+from repro.faults.injector import FaultPlan
+from repro.faults.invariants import InvariantViolation, RuntimeInvariants
+from repro.faults.spec import (
     FAULT_KINDS,
     BitFlip,
-    FaultPlan,
     FaultSpecError,
-    InvariantViolation,
     PosmapCorrupt,
-    RuntimeInvariants,
 )
-from repro.obs.events import SweepPointFailed, SweepPointFinished
-from repro.obs import (
-    AdversaryTraceWriter,
-    EventBus,
+from repro.obs.events import EventBus, SweepPointFailed, SweepPointFinished
+from repro.obs.export import render_prometheus
+from repro.obs.flightrec import (
     FlightRecorder,
-    JsonlLogger,
-    MetricsCollector,
-    MetricsRegistry,
-    ProgressJsonlWriter,
-    ProgressReporter,
-    SpanTracer,
-    TimelineBuilder,
     is_postmortem,
     load_postmortem_traces,
-    load_traces,
-    parse_sample_spec,
-    parse_slo_spec,
-    profile_run,
-    render_prometheus,
-    run_metadata,
 )
+from repro.obs.log import AdversaryTraceWriter, JsonlLogger, run_metadata
+from repro.obs.metrics import MetricsCollector, MetricsRegistry
+from repro.obs.profiler import profile_run
+from repro.obs.progress import ProgressJsonlWriter, ProgressReporter
+from repro.obs.slo import parse_slo_spec
+from repro.obs.spans import SpanTracer, load_traces, parse_sample_spec
+from repro.obs.timeline import TimelineBuilder
 from repro.oram.config import OramConfig
 from repro.oram.integrity import IntegrityError
 from repro.system.checkpoint import Checkpointer
@@ -89,38 +81,54 @@ KNOWN_SCHEMES = (
 )
 
 
+def _usage_error(message: str) -> SystemExit:
+    print(f"repro: error: {message}", file=sys.stderr)
+    return SystemExit(EXIT_USAGE)
+
+
 def build_config(args: argparse.Namespace) -> SystemConfig:
-    """Translate CLI flags into a :class:`SystemConfig`."""
-    oram = OramConfig(
-        levels=args.levels,
-        utilization=args.utilization,
-        treetop_levels=args.treetop,
-        xor_compression=args.xor,
-        integrity=args.integrity,
-        recovery=args.recovery_policy,
-        scrub_interval=args.scrub_interval,
-    )
+    """Translate CLI flags into a :class:`SystemConfig`.
+
+    A flag value no configuration accepts is a usage error: one stderr
+    line and exit :data:`EXIT_USAGE`, never a traceback or an empty run.
+    """
+    if args.requests < 1:
+        raise _usage_error(f"--requests must be >= 1, got {args.requests}")
     scheme = args.scheme.lower()
-    if scheme == "tiny":
-        config = SystemConfig.tiny(oram=oram)
-    elif scheme == "insecure":
-        config = SystemConfig.insecure_system(oram=oram)
-    elif scheme in ("rd", "rd-dup"):
-        config = SystemConfig.rd_dup(oram=oram)
-    elif scheme in ("hd", "hd-dup"):
-        config = SystemConfig(
-            name="HD-Dup", oram=oram, shadow=ShadowConfig.hd_only(oram.levels)
+    try:
+        oram = OramConfig(
+            levels=args.levels,
+            utilization=args.utilization,
+            treetop_levels=args.treetop,
+            xor_compression=args.xor,
+            integrity=args.integrity,
+            recovery=args.recovery_policy,
+            scrub_interval=args.scrub_interval,
         )
-    elif scheme.startswith("static-"):
-        config = SystemConfig.static(int(scheme.split("-", 1)[1]), oram=oram)
-    elif scheme.startswith("dynamic-"):
-        config = SystemConfig.dynamic(int(scheme.split("-", 1)[1]), oram=oram)
-    else:
-        raise SystemExit(
-            f"unknown scheme {args.scheme!r}; known: {', '.join(KNOWN_SCHEMES)}"
-        )
-    if args.timing_protection:
-        config = config.with_timing_protection(args.rate)
+        if scheme == "tiny":
+            config = SystemConfig.tiny(oram=oram)
+        elif scheme == "insecure":
+            config = SystemConfig.insecure_system(oram=oram)
+        elif scheme in ("rd", "rd-dup"):
+            config = SystemConfig.rd_dup(oram=oram)
+        elif scheme in ("hd", "hd-dup"):
+            config = SystemConfig(
+                name="HD-Dup", oram=oram,
+                shadow=ShadowConfig.hd_only(oram.levels),
+            )
+        elif scheme.startswith("static-"):
+            config = SystemConfig.static(int(scheme.split("-", 1)[1]),
+                                         oram=oram)
+        elif scheme.startswith("dynamic-"):
+            config = SystemConfig.dynamic(int(scheme.split("-", 1)[1]),
+                                          oram=oram)
+        else:
+            raise _usage_error(f"unknown scheme {args.scheme!r}; known: "
+                               f"{', '.join(KNOWN_SCHEMES)}")
+        if args.timing_protection:
+            config = config.with_timing_protection(args.rate)
+    except ValueError as exc:
+        raise _usage_error(str(exc)) from None
     return config.with_(seed=args.seed)
 
 
@@ -578,12 +586,16 @@ def cmd_faults(args: argparse.Namespace) -> int:
 def cmd_trace_analyze(args: argparse.Namespace) -> int:
     # Flight-recorder post-mortems carry raw bus events, not span trees;
     # rebuild whatever complete request spans the crash window holds.
-    if is_postmortem(args.file):
-        traces = load_postmortem_traces(args.file)
-        print(f"post-mortem dump: rebuilt {len(traces)} complete span "
-              f"trace(s) from the flight-recorder ring")
-    else:
-        traces = load_traces(args.file)
+    try:
+        if is_postmortem(args.file):
+            traces = load_postmortem_traces(args.file)
+            print(f"post-mortem dump: rebuilt {len(traces)} complete span "
+                  f"trace(s) from the flight-recorder ring")
+        else:
+            traces = load_traces(args.file)
+    except (OSError, ValueError) as exc:
+        raise _usage_error(f"cannot read span traces from {args.file}: "
+                           f"{exc}") from None
     if args.json:
         import json
 
@@ -662,15 +674,10 @@ def _parse_fault_plan(args: argparse.Namespace):
     return plan.injector(in_worker=False)
 
 
-def _usage_error(message: str) -> SystemExit:
-    print(f"repro: error: {message}", file=sys.stderr)
-    return SystemExit(EXIT_USAGE)
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.security.adversary import ShardTraceObserver
-    from repro.serve import OramServer, ServeSettings
-    from repro.shard import ShardSettings, ShardSupervisor
+    from repro.serve.server import OramServer, ServeSettings
+    from repro.shard.supervisor import ShardSettings, ShardSupervisor
 
     config = build_config(args)
     if args.restore and args.shard_dir is None:
@@ -822,7 +829,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_load(args: argparse.Namespace) -> int:
     import json
 
-    from repro.serve import LoadSettings, run_load
+    from repro.serve.load import LoadSettings, run_load
 
     injector = _parse_fault_plan(args)
     settings = LoadSettings(

@@ -1,16 +1,1 @@
 """CPU substrate: caches, cores and trace types (replaces gem5)."""
-
-from repro.cpu.cache import CacheConfig, CacheHierarchy, SetAssociativeCache
-from repro.cpu.core import CpuConfig, MissIssuePolicy
-from repro.cpu.trace import LlcMiss, MemoryRequest, MissTrace
-
-__all__ = [
-    "CacheConfig",
-    "CacheHierarchy",
-    "CpuConfig",
-    "LlcMiss",
-    "MemoryRequest",
-    "MissIssuePolicy",
-    "MissTrace",
-    "SetAssociativeCache",
-]

@@ -9,10 +9,14 @@ exception); 130 follows the shell convention of ``128 + SIGINT``.
 constant                      code  meaning
 ============================  ====  ===============================================
 ``EXIT_OK``                      0  success
-``EXIT_USAGE``                   2  bad command line: argparse rejected it, or
-                                    a flag combination no run can honour
-                                    (e.g. ``serve --restore`` without
-                                    ``--shard-dir``)
+``EXIT_USAGE``                   2  bad command line: argparse rejected it,
+                                    a flag value no config accepts (e.g.
+                                    ``--levels 0``, ``--requests -5``, an
+                                    unknown ``--scheme``), a flag combination
+                                    no run can honour (e.g. ``serve
+                                    --restore`` without ``--shard-dir``), or
+                                    a ``trace analyze`` input that is missing
+                                    or not JSONL
 ``EXIT_SWEEP_FAILED``            3  a sweep/faults run finished with failed or
                                     unresolved grid points (``sweep --resume``
                                     still owed points also exits 3)

@@ -24,65 +24,3 @@ Try it from the shell::
     python -m repro serve --inject server-crash:at_access=500,mode=exit ...
     python -m repro load --inject client-disconnect:at_request=10 ...
 """
-
-from repro.faults.injector import (
-    FaultInjector,
-    FaultPlan,
-    InjectedCrash,
-    ServerCrashed,
-    ShardDied,
-)
-from repro.faults.invariants import (
-    InvariantReport,
-    InvariantViolation,
-    RuntimeInvariants,
-)
-from repro.faults.spec import (
-    FAULT_KINDS,
-    BitFlip,
-    CacheCorruption,
-    CacheOsError,
-    ClientDisconnect,
-    FaultSpec,
-    FaultSpecError,
-    PosmapCorrupt,
-    ServerCrash,
-    ShardCheckpointCorrupt,
-    ShardCrash,
-    ShardHang,
-    SlowClient,
-    StashPressure,
-    WorkerCrash,
-    WorkerHang,
-    parse_spec,
-    spec_from_dict,
-)
-
-__all__ = [
-    "FAULT_KINDS",
-    "BitFlip",
-    "CacheCorruption",
-    "CacheOsError",
-    "ClientDisconnect",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultSpec",
-    "FaultSpecError",
-    "InjectedCrash",
-    "InvariantReport",
-    "InvariantViolation",
-    "PosmapCorrupt",
-    "RuntimeInvariants",
-    "ServerCrash",
-    "ServerCrashed",
-    "ShardCheckpointCorrupt",
-    "ShardCrash",
-    "ShardDied",
-    "ShardHang",
-    "SlowClient",
-    "StashPressure",
-    "WorkerCrash",
-    "WorkerHang",
-    "parse_spec",
-    "spec_from_dict",
-]

@@ -13,19 +13,3 @@ Modules:
 * :mod:`repro.serve.load` — the open-loop Poisson/Zipf load generator
   (``repro load``) with timeout/backoff retries and client faults.
 """
-
-from repro.serve.scheduler_bridge import OramServeBridge, ServedAccess
-from repro.serve.server import OramServer, ServeSettings
-from repro.serve.load import LoadGenerator, LoadSettings, run_load
-from repro.serve.session import Session
-
-__all__ = [
-    "LoadGenerator",
-    "LoadSettings",
-    "OramServeBridge",
-    "OramServer",
-    "ServeSettings",
-    "ServedAccess",
-    "Session",
-    "run_load",
-]

@@ -28,7 +28,7 @@ recovery path.  Robustness is the design center, not an afterthought:
   bit-identical to an uninterrupted serve at whatever access it died
   (``serve`` tests assert the digest equality).
 * **deterministic fault injection** — ``server-crash`` specs fire
-  through the existing seeded :class:`~repro.faults.FaultInjector`
+  through the existing seeded :class:`~repro.faults.injector.FaultInjector`
   between two ORAM accesses; ``client-disconnect``/``slow-client`` are
   driven by the load generator and exercised against this server in the
   ``serve-smoke`` CI job.

@@ -18,28 +18,3 @@ Try it from the shell::
     python -m repro serve --shards 4 --degraded-mode allow \\
         --inject shard-crash:shard=2,at_access=120 ...
 """
-
-from repro.shard.hashring import HashRing, HashRingError
-from repro.shard.intent_log import Intent, IntentLog, IntentLogCorrupt
-from repro.shard.supervisor import (
-    FleetFailed,
-    ShardSettings,
-    ShardSupervisor,
-    ShardUnavailable,
-)
-from repro.shard.worker import InprocShard, ProcessShard, ShardWorkerError
-
-__all__ = [
-    "FleetFailed",
-    "HashRing",
-    "HashRingError",
-    "InprocShard",
-    "Intent",
-    "IntentLog",
-    "IntentLogCorrupt",
-    "ProcessShard",
-    "ShardSettings",
-    "ShardSupervisor",
-    "ShardUnavailable",
-    "ShardWorkerError",
-]

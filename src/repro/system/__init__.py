@@ -1,24 +1,1 @@
 """Full-system simulation: configs, scheduler, metrics, energy."""
-
-from repro.system.config import SystemConfig, TimingProtectionConfig
-from repro.system.energy import EnergyConfig, EnergyModel
-from repro.system.metrics import NormalizedResult, SimulationResult, geomean
-from repro.system.overhead import OverheadReport, estimate_overhead
-from repro.system.simulator import SystemSimulator, build_miss_trace, simulate
-from repro.system.timing import RequestScheduler
-
-__all__ = [
-    "EnergyConfig",
-    "EnergyModel",
-    "NormalizedResult",
-    "OverheadReport",
-    "RequestScheduler",
-    "SimulationResult",
-    "SystemConfig",
-    "SystemSimulator",
-    "TimingProtectionConfig",
-    "build_miss_trace",
-    "estimate_overhead",
-    "geomean",
-    "simulate",
-]

@@ -1,21 +1,1 @@
 """Synthetic SPEC-CPU2006-like workload generators."""
-
-from repro.workloads.generator import (
-    Workload,
-    hot_cold,
-    phases,
-    pointer_chase,
-    stream,
-)
-from repro.workloads.spec import WORKLOADS, get_workload, workload_names
-
-__all__ = [
-    "WORKLOADS",
-    "Workload",
-    "get_workload",
-    "hot_cold",
-    "phases",
-    "pointer_chase",
-    "stream",
-    "workload_names",
-]

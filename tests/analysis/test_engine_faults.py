@@ -25,10 +25,10 @@ from repro.analysis.engine import (
     build_grid,
 )
 from repro.analysis.manifest import SweepLedger, grid_fingerprint
-from repro.faults import (
+from repro.faults.injector import FaultPlan
+from repro.faults.spec import (
     CacheCorruption,
     CacheOsError,
-    FaultPlan,
     WorkerCrash,
     WorkerHang,
 )

@@ -11,7 +11,8 @@ import json
 import pytest
 
 from repro.analysis.engine import SweepRunner, build_grid
-from repro.faults import FaultPlan, WorkerCrash
+from repro.faults.injector import FaultPlan
+from repro.faults.spec import WorkerCrash
 from repro.obs.metrics import MetricsRegistry
 from repro.oram.config import OramConfig
 from repro.system.config import SystemConfig

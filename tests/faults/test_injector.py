@@ -6,12 +6,11 @@ import json
 import pytest
 
 from repro.analysis.cache import ResultCache
-from repro.faults import (
+from repro.faults.injector import FaultPlan, InjectedCrash
+from repro.faults.spec import (
     BitFlip,
     CacheCorruption,
     CacheOsError,
-    FaultPlan,
-    InjectedCrash,
     StashPressure,
     WorkerCrash,
     WorkerHang,

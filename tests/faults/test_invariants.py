@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.faults import InvariantViolation, RuntimeInvariants
+from repro.faults.invariants import InvariantViolation, RuntimeInvariants
 from repro.obs.metrics import MetricsRegistry
 
 

@@ -10,10 +10,12 @@ import asyncio
 
 import pytest
 
-from repro.faults import FaultPlan, ServerCrash
+from repro.faults.injector import FaultPlan
+from repro.faults.spec import ServerCrash
 from repro.oram.config import OramConfig
-from repro.serve import OramServer, ServeSettings, protocol
-from repro.shard import ShardSettings, ShardSupervisor
+from repro.serve import protocol
+from repro.serve.server import OramServer, ServeSettings
+from repro.shard.supervisor import ShardSettings, ShardSupervisor
 from repro.system.config import SystemConfig
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.shard import HashRing, HashRingError
+from repro.shard.hashring import HashRing, HashRingError
 
 
 class TestDeterminism:

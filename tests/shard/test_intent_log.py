@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.shard import Intent, IntentLog, IntentLogCorrupt
+from repro.shard.intent_log import Intent, IntentLog, IntentLogCorrupt
 
 RUN = {"kind": "test-fleet", "seed": 1}
 

@@ -12,10 +12,11 @@ healthy shards keep serving while the dead partition sheds with
 import asyncio
 import threading
 
-from repro.faults import FaultPlan
+from repro.faults.injector import FaultPlan
 from repro.oram.config import OramConfig
-from repro.serve import OramServer, ServeSettings, protocol
-from repro.shard import ShardSettings, ShardSupervisor
+from repro.serve import protocol
+from repro.serve.server import OramServer, ServeSettings
+from repro.shard.supervisor import ShardSettings, ShardSupervisor
 from repro.system.config import SystemConfig
 
 SEED = 7

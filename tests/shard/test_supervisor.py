@@ -10,11 +10,15 @@ from random import Random
 
 import pytest
 
-from repro.faults import FaultPlan
-from repro.faults.injector import FleetFailed, ShardDied, ShardUnavailable
-from repro.obs import MetricsRegistry
+from repro.faults.injector import (
+    FaultPlan,
+    FleetFailed,
+    ShardDied,
+    ShardUnavailable,
+)
+from repro.obs.metrics import MetricsRegistry
 from repro.oram.config import OramConfig
-from repro.shard import ShardSettings, ShardSupervisor
+from repro.shard.supervisor import ShardSettings, ShardSupervisor
 from repro.system.config import SystemConfig
 
 SEED = 7

@@ -12,7 +12,7 @@ import pytest
 import repro
 from repro.cli import build_config, main, make_parser
 from repro.exit_codes import EXIT_OK, EXIT_USAGE
-from repro.serve import LoadSettings, run_load
+from repro.serve.load import LoadSettings, run_load
 
 
 class TestBuildConfig:
@@ -76,6 +76,40 @@ class TestCommands:
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             make_parser().parse_args([])
+
+
+class TestUsageErrors:
+    """Bad flag values and unreadable inputs: one stderr line, exit 2."""
+
+    @pytest.mark.parametrize("command", ["run", "profile"])
+    @pytest.mark.parametrize("flags", [
+        ["--requests", "-5"],
+        ["--levels", "0"],
+        ["--scheme", "quantum"],
+    ])
+    def test_bad_config_flag_is_a_usage_error(self, command, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--workload", "mcf", "--requests", "100",
+                  "--levels", "8", *flags])
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("repro: error: ")
+
+    @pytest.mark.parametrize("content", [None, "garbage{\n"],
+                             ids=["missing", "not-json"])
+    def test_unreadable_trace_file_is_a_usage_error(self, tmp_path, content,
+                                                    capsys):
+        path = tmp_path / "spans.jsonl"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "analyze", str(path)])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert str(path) in err
 
 
 class TestCheckpointFlags:

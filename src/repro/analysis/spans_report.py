@@ -6,7 +6,8 @@ JSONL trace file a ``repro run --spans`` invocation wrote, it produces
 * a **phase attribution report** — exclusive cycles per phase across all
   traces (cycle-exact: per trace the exclusive times sum to the root
   duration, so attributed cycles across a run add up to total traced
-  occupancy with zero residue);
+  occupancy with zero residue), beside the exclusive host wall seconds
+  of :func:`wall_attribution`, which ``repro profile`` reports too;
 * a **per-request latency breakdown** — request counts and latency
   percentiles grouped by serving source, fed through the shared
   :class:`~repro.obs.metrics.Histogram` ladder;
@@ -26,6 +27,7 @@ from repro.analysis.report import format_table
 from repro.obs.metrics import LATENCY_BUCKETS, Histogram
 from repro.obs.spans import (
     SPAN_PHASES,
+    Span,
     SpanTrace,
     exclusive_by_phase,
     render_tree,
@@ -40,6 +42,35 @@ def phase_attribution(traces: list[SpanTrace]) -> dict[str, Fraction]:
     for trace in traces:
         for phase, excl in exclusive_by_phase(trace.root).items():
             totals[phase] = totals.get(phase, Fraction(0)) + excl
+    return totals
+
+
+def wall_attribution(traces: list[SpanTrace]) -> dict[str, float]:
+    """Total exclusive host wall seconds per phase over all traces.
+
+    A span's exclusive wall time is its wall duration minus that of every
+    span directly inside it, whichever trace that span belongs to: a
+    timing-protection dummy is its own trace, yet its wall time passes
+    inside the enclosing request's span.  Spans from one process nest in
+    wall time (the tracer stamps begin/finish in emission order), so one
+    sweep in start order finds each span's parent, and the per-phase
+    totals sum to the wall time the traces cover, counted once.
+    """
+    spans = sorted(
+        (span for trace in traces for span in trace.root.walk()),
+        key=lambda span: (span.wall_start, -span.wall_end),
+    )
+    totals: dict[str, float] = {}
+    open_spans: list[Span] = []
+    for span in spans:
+        while open_spans and open_spans[-1].wall_end < span.wall_end:
+            open_spans.pop()
+        wall = span.wall_duration
+        totals[span.name] = totals.get(span.name, 0.0) + wall
+        if open_spans:
+            parent = open_spans[-1].name
+            totals[parent] -= wall
+        open_spans.append(span)
     return totals
 
 
@@ -82,6 +113,8 @@ def analyze(traces: list[SpanTrace], top: int = 5) -> dict[str, object]:
         kinds[trace.kind] = kinds.get(trace.kind, 0) + 1
     phases = phase_attribution(traces)
     total = sum(phases.values(), start=Fraction(0))
+    walls = wall_attribution(traces)
+    wall_total = sum(walls.values())
     failures = audit(traces)
     return {
         "traces": len(traces),
@@ -90,6 +123,8 @@ def analyze(traces: list[SpanTrace], top: int = 5) -> dict[str, object]:
             phase: {
                 "exclusive_cycles": float(excl),
                 "share": float(excl / total) if total else 0.0,
+                "exclusive_wall_s": walls[phase],
+                "wall_share": walls[phase] / wall_total if wall_total else 0.0,
                 "meaning": SPAN_PHASES.get(phase, ""),
             }
             for phase, excl in sorted(phases.items(), key=lambda kv: -kv[1])
@@ -123,19 +158,23 @@ def render_report(traces: list[SpanTrace], top: int = 5) -> tuple[str, bool]:
 
     phases = phase_attribution(traces)
     total = sum(phases.values(), start=Fraction(0))
+    walls = wall_attribution(traces)
     rows = [
         [
             phase,
             f"{float(excl):,.0f}",
             f"{float(excl / total):.1%}" if total else "-",
+            f"{walls[phase]:.4f}",
             SPAN_PHASES.get(phase, ""),
         ]
         for phase, excl in sorted(phases.items(), key=lambda kv: -kv[1])
     ]
-    rows.append(["total", f"{float(total):,.0f}", "100.0%", ""])
+    rows.append(["total", f"{float(total):,.0f}", "100.0%",
+                 f"{sum(walls.values()):.4f}", ""])
     sections.append(format_table(
-        ["phase", "exclusive cycles", "share", "covers"], rows,
-        title="Phase attribution (exclusive cycles, cycle-exact)",
+        ["phase", "exclusive cycles", "share", "exclusive wall s", "covers"],
+        rows,
+        title="Phase attribution (exclusive cycles, cycle-exact; host wall)",
     ))
 
     hists = latency_histograms(traces)

@@ -30,6 +30,7 @@ import argparse
 import asyncio
 import sys
 from pathlib import Path
+from time import perf_counter
 
 from repro.analysis import benchtrack, spans_report
 from repro.analysis.cache import ResultCache
@@ -63,7 +64,6 @@ from repro.obs.flightrec import (
 )
 from repro.obs.log import AdversaryTraceWriter, JsonlLogger, run_metadata
 from repro.obs.metrics import MetricsCollector, MetricsRegistry
-from repro.obs.profiler import profile_run
 from repro.obs.progress import ProgressJsonlWriter, ProgressReporter
 from repro.obs.slo import parse_slo_spec
 from repro.obs.spans import SpanTracer, load_traces, parse_sample_spec
@@ -73,7 +73,7 @@ from repro.oram.integrity import IntegrityError
 from repro.system.checkpoint import Checkpointer
 from repro.system.config import SystemConfig
 from repro.system.overhead import estimate_overhead
-from repro.system.simulator import simulate
+from repro.system.simulator import SystemSimulator, build_miss_trace, simulate
 from repro.workloads.spec import WORKLOADS, workload_names
 
 KNOWN_SCHEMES = (
@@ -152,9 +152,9 @@ def _result_rows(result) -> list[list[object]]:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = build_config(args)
-    print(f"config: {config.describe()}")
     if args.restore and not args.checkpoint_dir:
-        raise SystemExit("--restore needs --checkpoint-dir")
+        raise _usage_error("--restore needs --checkpoint-dir")
+    print(f"config: {config.describe()}")
     checkpointer = (
         Checkpointer(args.checkpoint_dir, every=args.checkpoint_every)
         if args.checkpoint_dir
@@ -221,20 +221,37 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
+    """Where a run's host time goes, read from its span trees.
+
+    One simulation runs with a :class:`SpanTracer` on the bus.  Trace
+    build is timed on its own (the miss-trace cache is cleared first, so
+    it measures real work); every span phase reports its exclusive wall
+    seconds; ``outside spans`` is the rest of the run's wall time
+    (scheduler loop, set-up, result aggregation), so the shares sum to 1.
+    """
     config = build_config(args)
     print(f"config: {config.describe()}")
-    totals, result = profile_run(
-        config, args.workload, num_requests=args.requests, seed=args.seed
-    )
-    total = sum(totals.values()) or 1e-12
-    rows = [
-        [stage, f"{seconds:.3f}", f"{seconds / total:.1%}"]
-        for stage, seconds in sorted(totals.items(), key=lambda kv: -kv[1])
-    ]
+    bus = EventBus()
+    tracer = SpanTracer(bus)
+    sim = SystemSimulator(config, bus=bus)
+    build_miss_trace.cache_clear()
+    started = perf_counter()
+    sim._per_core_traces(args.workload, args.requests, args.seed)
+    built = perf_counter()
+    result = sim.run(args.workload, num_requests=args.requests, seed=args.seed)
+    finished = perf_counter()
+    phases = spans_report.wall_attribution(tracer.traces)
+    totals = {"trace build": built - started, **phases,
+              "outside spans": finished - built - sum(phases.values())}
+    total = finished - started
+    ranked = sorted(totals.items(), key=lambda kv: -kv[1])
+    rows = [[stage, f"{seconds:.3f}", f"{seconds / total:.1%}"]
+            for stage, seconds in ranked]
     rows.append(["total", f"{total:.3f}", "100.0%"])
     print(format_table(
         ["stage", "seconds", "share"], rows,
-        title=f"Simulator wall-clock profile ({args.workload})",
+        title=f"Simulator wall-clock profile ({args.workload}, "
+              "exclusive time per span phase)",
     ))
     print(f"simulated {result.llc_misses} LLC misses "
           f"({result.total_cycles:,.0f} cycles) in {total:.3f}s host time")
@@ -251,9 +268,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
             "host_seconds": total,
             "stages": {
                 stage: {"seconds": seconds, "share": seconds / total}
-                for stage, seconds in sorted(
-                    totals.items(), key=lambda kv: -kv[1]
-                )
+                for stage, seconds in ranked
             },
         }
         with open(args.json, "w") as stream:
@@ -298,7 +313,7 @@ def _parse_workloads(spec: str) -> list[str]:
     workloads = [w.strip() for w in spec.split(",") if w.strip()]
     unknown = [w for w in workloads if w not in workload_names()]
     if unknown:
-        raise SystemExit(
+        raise _usage_error(
             f"unknown workloads: {', '.join(unknown)}; "
             f"known: {', '.join(workload_names())}"
         )
@@ -308,7 +323,7 @@ def _parse_workloads(spec: str) -> list[str]:
 def _build_sweep_configs(args: argparse.Namespace) -> list[SystemConfig]:
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
     if not schemes:
-        raise SystemExit("--schemes must name at least one scheme")
+        raise _usage_error("--schemes must name at least one scheme")
     configs = []
     for scheme in schemes:
         sub = argparse.Namespace(**vars(args))
@@ -361,7 +376,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         else None
     )
     if args.resume and ledger is None:
-        raise SystemExit("--resume needs the result cache (drop --no-cache)")
+        raise _usage_error("--resume needs the result cache (drop --no-cache)")
     bus = EventBus()
 
     reporter = ProgressReporter(sys.stdout) if args.live else None
@@ -481,11 +496,11 @@ def cmd_faults(args: argparse.Namespace) -> int:
         ))
         return 0
     if not args.inject:
-        raise SystemExit("nothing to do: pass --list or --inject SPEC")
+        raise _usage_error("nothing to do: pass --list or --inject SPEC")
     try:
         plan = FaultPlan.parse(args.inject, seed=args.fault_seed)
     except FaultSpecError as exc:
-        raise SystemExit(f"bad --inject spec: {exc}")
+        raise _usage_error(f"bad --inject spec: {exc}") from None
 
     # Corruption specs only make sense with the integrity layer watching:
     # auto-arm it so `faults --inject bit-flip:...` detects and (under the
@@ -667,7 +682,7 @@ def _parse_fault_plan(args: argparse.Namespace):
     try:
         plan = FaultPlan.parse(args.inject, seed=args.fault_seed)
     except FaultSpecError as exc:
-        raise SystemExit(f"bad --inject spec: {exc}")
+        raise _usage_error(f"bad --inject spec: {exc}") from None
     print(f"fault plan (seed {plan.seed}):")
     for spec in plan.specs:
         print(f"  {spec.to_dict()}")
@@ -691,7 +706,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         try:
             slo = parse_slo_spec(args.slo)
         except ValueError as exc:
-            raise SystemExit(f"bad --slo spec: {exc}")
+            raise _usage_error(f"bad --slo spec: {exc}") from None
     settings = ServeSettings(
         host=args.host,
         port=args.port,
@@ -878,7 +893,7 @@ def cmd_top(args: argparse.Namespace) -> int:
             interval_s=args.interval, count=args.count,
         )
     except ValueError as exc:
-        raise SystemExit(str(exc))
+        raise _usage_error(str(exc)) from None
     try:
         return asyncio.run(run_top(settings))
     except KeyboardInterrupt:

@@ -9,9 +9,9 @@ reports about itself.  The components:
   :class:`~repro.obs.metrics.MetricsCollector` bus subscriber;
 * :mod:`repro.obs.spans` — causal per-request span trees with
   cycle-exact latency attribution (:class:`~repro.obs.spans.SpanTracer`);
+  their host wall stamps are also what ``repro profile`` reports;
 * :mod:`repro.obs.timeline` — Chrome trace-event (Perfetto) export;
 * :mod:`repro.obs.log` — JSONL structured logging with run metadata;
-* :mod:`repro.obs.profiler` — host wall-clock attribution per stage;
 * :mod:`repro.obs.aggregate` — cross-process telemetry snapshots and the
   per-worker/rollup merge used by parallel sweeps;
 * :mod:`repro.obs.progress` — live sweep progress (TTY status line and

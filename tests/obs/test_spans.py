@@ -134,6 +134,18 @@ class TestAnnotations:
         for trace in dummies:
             assert trace.served_from == "dummy"
 
+    def test_one_annotated_trace_per_llc_miss(self):
+        config = SystemConfig.dynamic(3, oram=OramConfig(levels=9))
+        tracer, result = traced_run(config, "h264ref", requests=3000)
+        misses = [t for t in tracer.traces if t.kind == "request"
+                  and not t.root.detail.startswith("writeback")]
+        assert len(misses) == result.llc_misses
+        for trace in misses:
+            assert trace.annotated
+            assert trace.finish >= trace.data_ready >= trace.issue
+        served = [t.served_from for t in misses]
+        assert served.count("shadow_path") == result.shadow_path_serves > 0
+
     def test_top_slowest_excludes_dummies(self):
         tracer, _ = traced_run(SHADOW_TP)
         top = top_slowest(tracer.traces, 10)

@@ -97,6 +97,34 @@ class TestUsageErrors:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("repro: error: ")
 
+    SWEEP = ["--requests", "100", "--levels", "8", "--no-cache"]
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--workload", "mcf", "--requests", "100", "--levels", "8",
+         "--restore"],
+        ["sweep", "--workloads", "mcf,quantum", *SWEEP],
+        ["sweep", "--schemes", ",", *SWEEP],
+        ["sweep", "--resume", *SWEEP],
+        ["faults", *SWEEP],
+        ["faults", "--inject", "solar-flare@9", *SWEEP],
+        ["serve", "--levels", "8", "--port", "0", "--inject", "solar-flare"],
+        ["serve", "--levels", "8", "--port", "0", "--slo", "p99_ms"],
+        ["top", "localhost:port"],
+    ], ids=[
+        "run-restore-without-checkpoint-dir", "sweep-unknown-workload",
+        "sweep-empty-schemes", "sweep-resume-without-cache",
+        "faults-nothing-to-do", "faults-bad-inject", "serve-bad-inject",
+        "serve-bad-slo", "top-bad-address",
+    ])
+    def test_bad_command_flag_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("repro: error: ")
+
     @pytest.mark.parametrize("content", [None, "garbage{\n"],
                              ids=["missing", "not-json"])
     def test_unreadable_trace_file_is_a_usage_error(self, tmp_path, content,
@@ -137,9 +165,11 @@ class TestCheckpointFlags:
         resumed = capsys.readouterr().out
         assert self._result_lines(resumed) == reference
 
-    def test_restore_needs_checkpoint_dir(self):
-        with pytest.raises(SystemExit, match="--restore needs"):
+    def test_restore_needs_checkpoint_dir(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(self.ARGS + ["--restore"])
+        assert exc.value.code == EXIT_USAGE
+        assert "--restore needs" in capsys.readouterr().err
 
     def test_integrity_flags_accepted(self, capsys):
         assert main(self.ARGS + ["--integrity", "--recovery-policy",
@@ -201,7 +231,7 @@ class TestObservabilityFlags:
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "oram access" in out
+        assert "oram_access" in out
         assert "trace build" in out
         assert "host time" in out
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import EXIT_SWEEP_FAILED, main
+from repro.exit_codes import EXIT_USAGE
 
 FAST = [
     "--workloads", "mcf", "--schemes", "tiny", "--requests", "600",
@@ -23,9 +24,11 @@ class TestFaultsCommand:
         with pytest.raises(SystemExit):
             main(["faults"] + FAST)
 
-    def test_bad_spec_exits(self):
-        with pytest.raises(SystemExit, match="bad --inject"):
+    def test_bad_spec_exits(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["faults", "--inject", "solar-flare@9"] + FAST)
+        assert exc.value.code == EXIT_USAGE
+        assert "bad --inject" in capsys.readouterr().err
 
     def test_crash_inject_run(self, capsys):
         code = main(
@@ -100,6 +103,8 @@ class TestSweepFaultFlags:
         out = capsys.readouterr().out
         assert "cached" in out
 
-    def test_resume_without_cache_exits(self):
-        with pytest.raises(SystemExit, match="--resume needs"):
+    def test_resume_without_cache_exits(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["sweep", "--no-cache", "--resume"] + FAST)
+        assert exc.value.code == EXIT_USAGE
+        assert "--resume needs" in capsys.readouterr().err

@@ -1,172 +1,204 @@
-"""Tests for structured request tracing and CSV export."""
+"""Per-request tracing: the request-level fields of span traces.
+
+A :class:`~repro.obs.spans.SpanTracer` on the bus annotates each trace
+with the :class:`~repro.obs.events.RequestCompleted` of the access it
+wraps (address, op, serving source, issue/data-ready/finish times,
+latency, eviction), and ``write_jsonl`` / ``load_traces`` round-trip them.
+"""
 
 import io
+import json
+from collections import Counter
 from random import Random
 
-import pytest
-
+from repro.analysis.spans_report import analyze
 from repro.core.config import ShadowConfig
 from repro.core.controller import ShadowOramController
-from repro.obs.events import EventBus
+from repro.mem.dram import DramConfig, DramModel
+from repro.obs.events import (
+    EventBus,
+    RequestCompleted,
+    SpanFinished,
+    SpanStarted,
+)
+from repro.obs.spans import SpanTracer, load_traces
 from repro.oram.config import OramConfig
-from repro.oram.tiny import AccessResult
-from repro.system.tracing import RequestRecord, RequestTracer, trace_workload
 
 CFG = OramConfig(levels=6, utilization=0.25, stash_capacity=200)
 
 
+def traced_controller(seed=4):
+    bus = EventBus()
+    tracer = SpanTracer(bus)
+    ctl = ShadowOramController(
+        CFG, Random(seed), ShadowConfig.static(3),
+        dram=DramModel(DramConfig(), CFG.levels, CFG.z), bus=bus,
+    )
+    return tracer, ctl
+
+
+def drive(ctl, n, seed=5, write_frac=0.2):
+    """Issue ``n`` back-to-back accesses; return their ``AccessResult``s."""
+    rng = Random(seed)
+    results = []
+    now = 0.0
+    for i in range(n):
+        op = "write" if rng.random() < write_frac else "read"
+        result = ctl.access(
+            rng.randrange(ctl.num_blocks), op,
+            payload=i if op == "write" else None, now=now,
+        )
+        results.append(result)
+        now = result.finish
+    return results
+
+
 def make_tracer(n=300, seed=4):
-    ctl = ShadowOramController(CFG, Random(seed), ShadowConfig.static(3))
-    rng = Random(seed + 1)
-    addrs = [rng.randrange(ctl.num_blocks) for _ in range(n)]
-    return trace_workload(ctl, addrs, rng=Random(seed + 2), write_frac=0.2)
+    tracer, ctl = traced_controller(seed)
+    drive(ctl, n, seed=seed + 1)
+    return tracer
+
+
+def served_from_histogram(traces):
+    return Counter(t.served_from for t in traces)
 
 
 class TestTracer:
     def test_one_record_per_request(self):
         tracer = make_tracer(200)
         assert len(tracer) == 200
-        assert [r.index for r in tracer.records] == list(range(200))
+        assert [t.trace_id for t in tracer.traces] == list(range(200))
+        assert all(t.annotated for t in tracer.traces)
 
     def test_latency_and_ordering(self):
         tracer = make_tracer(200)
-        for rec in tracer.records:
-            assert rec.latency >= 0
-            assert rec.finish >= rec.data_ready >= rec.issue
+        assert any(t.latency > 0 for t in tracer.traces)
+        for trace in tracer.traces:
+            assert trace.latency == trace.data_ready - trace.issue >= 0
+            assert trace.finish >= trace.data_ready >= trace.issue
+        finishes = [t.finish for t in tracer.traces]
+        assert finishes == sorted(finishes)
 
     def test_histogram_covers_all_sources(self):
         tracer = make_tracer(400)
-        hist = tracer.served_from_histogram()
+        hist = served_from_histogram(tracer.traces)
         assert sum(hist.values()) == 400
         assert "path" in hist
+        assert "" not in hist
 
     def test_advanced_fraction_in_unit_range(self):
+        """Some but not all requests are advanced by a shadow on the path."""
         tracer = make_tracer(300)
-        assert 0.0 <= tracer.advanced_fraction() <= 1.0
+        advanced = served_from_histogram(tracer.traces)["shadow_path"]
+        assert 0 < advanced / len(tracer) < 1
 
     def test_empty_tracer_stats(self):
-        tracer = RequestTracer()
-        assert tracer.mean_latency() == 0.0
-        assert tracer.advanced_fraction() == 0.0
+        tracer = SpanTracer(EventBus())
+        assert len(tracer) == 0
+        report = analyze(tracer.traces)
+        assert report["traces"] == 0
+        assert report["phase_attribution"] == {}
+        assert report["latency_by_source"] == {}
 
 
-def make_result(op="read", served_from="path"):
-    return AccessResult(
-        addr=3 if op != "dummy" else -1,
-        op=op,
-        served_from=served_from,
-        issue=0.0,
-        data_ready=None if served_from is None else 10.0,
-        finish=20.0,
-    )
+def label(op, served_from):
+    """The ``served_from`` a trace gets from one ``RequestCompleted``."""
+    bus = EventBus()
+    tracer = SpanTracer(bus)
+    bus.emit(SpanStarted(name="request", ts=0.0))
+    bus.emit(RequestCompleted(
+        addr=3 if op != "dummy" else -1, op=op, served_from=served_from,
+        issue=0.0, data_ready=10.0, finish=20.0, evicted=False,
+        path_accesses=1, core=-1,
+    ))
+    bus.emit(SpanFinished(name="request", ts=20.0))
+    (trace,) = tracer.traces
+    return trace.served_from
 
 
 class TestServedFromLabeling:
     def test_real_request_without_source_is_unknown_not_dummy(self):
-        record = RequestRecord.from_result(0, make_result(served_from=None))
-        assert record.served_from == "unknown"
+        assert label("read", None) == "unknown"
 
     def test_dummy_request_is_labelled_dummy(self):
-        record = RequestRecord.from_result(
-            0, make_result(op="dummy", served_from=None)
-        )
-        assert record.served_from == "dummy"
+        assert label("dummy", None) == "dummy"
 
     def test_real_source_passes_through(self):
-        record = RequestRecord.from_result(0, make_result())
-        assert record.served_from == "path"
+        assert label("read", "path") == "path"
 
 
 class TestBusSubscriber:
     def test_tracer_records_via_bus(self):
-        bus = EventBus()
-        tracer = RequestTracer.subscribed(bus)
-        ctl = ShadowOramController(
-            CFG, Random(4), ShadowConfig.static(3), bus=bus
-        )
+        tracer, ctl = traced_controller()
         rng = Random(5)
         for _ in range(150):
             ctl.access(rng.randrange(ctl.num_blocks))
         assert len(tracer) == 150
-        assert sum(tracer.served_from_histogram().values()) == 150
-        for rec in tracer.records:
-            assert rec.finish >= rec.data_ready >= rec.issue
+        assert sum(served_from_histogram(tracer.traces).values()) == 150
+        for trace in tracer.traces:
+            assert trace.finish >= trace.data_ready >= trace.issue
 
     def test_bus_tracer_matches_manual_tracer(self):
-        bus = EventBus()
-        bus_tracer = RequestTracer.subscribed(bus)
-        ctl = ShadowOramController(
-            CFG, Random(4), ShadowConfig.static(3), bus=bus
-        )
-        manual = RequestTracer()
-        rng = Random(5)
-        now = 0.0
-        for _ in range(100):
-            result = ctl.access(rng.randrange(ctl.num_blocks), now=now)
-            manual.record(result)
-            now = result.finish
+        """Each trace's annotation equals the controller's own result."""
+        tracer, ctl = traced_controller()
+        results = drive(ctl, 100)
         assert [
-            (r.addr, r.served_from, r.latency) for r in bus_tracer.records
-        ] == [(r.addr, r.served_from, r.latency) for r in manual.records]
+            (t.addr, t.op, t.served_from, t.issue, t.data_ready, t.finish,
+             t.evicted)
+            for t in tracer.traces
+        ] == [
+            (r.addr, r.op, r.served_from, r.issue, r.data_ready, r.finish,
+             r.evicted)
+            for r in results
+        ]
 
 
-class TestCsvRoundTrip:
+def round_trip(tracer):
+    buffer = io.StringIO()
+    tracer.write_jsonl(buffer)
+    buffer.seek(0)
+    return buffer.getvalue(), load_traces(buffer)
+
+
+class TestJsonlRoundTrip:
     def test_write_and_read_back(self):
         tracer = make_tracer(150)
-        buffer = io.StringIO()
-        tracer.write_csv(buffer)
-        buffer.seek(0)
-        reloaded = RequestTracer.read_csv(buffer)
+        _, reloaded = round_trip(tracer)
         assert len(reloaded) == len(tracer)
-        for a, b in zip(tracer.records, reloaded.records):
-            assert (a.addr, a.op, a.served_from, a.advanced) == (
-                b.addr, b.op, b.served_from, b.advanced
+        for a, b in zip(tracer.traces, reloaded):
+            assert (a.addr, a.op, a.served_from, a.evicted) == (
+                b.addr, b.op, b.served_from, b.evicted
             )
             assert a.latency == b.latency
 
-    def test_csv_has_header(self):
+    def test_jsonl_has_meta_line(self):
         tracer = make_tracer(5)
-        buffer = io.StringIO()
-        tracer.write_csv(buffer)
-        header = buffer.getvalue().splitlines()[0]
-        assert header.startswith("index,addr,op,issue")
+        text, _ = round_trip(tracer)
+        meta = json.loads(text.splitlines()[0])["meta"]
+        assert meta == {"sample_every": 1, "traces": 5, "dropped": 0}
 
     def test_shadow_duplication_run_round_trips(self):
-        """Shadow-sourced records survive the CSV round-trip exactly.
+        """Shadow-sourced traces survive the JSONL round-trip exactly.
 
         A long run against a small tree guarantees shadow_path and
-        shadow_stash hits, so the round-trip is exercised on every
-        served_from value and on both boolean columns.
+        shadow_stash hits and evictions, so the round-trip is exercised
+        on every served_from value and on the boolean field.
         """
         tracer = make_tracer(1200, seed=9)
-        sources = set(tracer.served_from_histogram())
-        assert {"shadow_path", "path"} <= sources
-        assert any(r.advanced for r in tracer.records)
-        assert any(r.evicted for r in tracer.records)
+        hist = served_from_histogram(tracer.traces)
+        assert {"shadow_path", "shadow_stash", "path"} <= set(hist)
+        assert any(t.evicted for t in tracer.traces)
 
-        buffer = io.StringIO()
-        tracer.write_csv(buffer)
-        buffer.seek(0)
-        reloaded = RequestTracer.read_csv(buffer)
+        _, reloaded = round_trip(tracer)
+        assert [t.to_dict() for t in reloaded] == [
+            t.to_dict() for t in tracer.traces
+        ]
+        assert served_from_histogram(reloaded) == hist
 
-        assert len(reloaded) == len(tracer)
-        for a, b in zip(tracer.records, reloaded.records):
-            assert a == b
-        assert reloaded.served_from_histogram() == (
-            tracer.served_from_histogram()
-        )
-        assert reloaded.advanced_fraction() == tracer.advanced_fraction()
-
-    def test_csv_bool_cells_parse_as_bools(self):
+    def test_bool_fields_load_as_bools(self):
         tracer = make_tracer(400, seed=9)
-        buffer = io.StringIO()
-        tracer.write_csv(buffer)
-        buffer.seek(0)
-        reloaded = RequestTracer.read_csv(buffer)
-        advanced = {r.advanced for r in reloaded.records}
-        evicted = {r.evicted for r in reloaded.records}
-        assert advanced <= {True, False} and True in (advanced | evicted)
-        for rec in reloaded.records:
-            assert isinstance(rec.advanced, bool)
-            assert isinstance(rec.evicted, bool)
-            assert rec.advanced == (rec.served_from == "shadow_path")
+        _, reloaded = round_trip(tracer)
+        assert {t.evicted for t in reloaded} == {True, False}
+        for trace in reloaded:
+            assert isinstance(trace.evicted, bool)
+            assert isinstance(trace.annotated, bool)

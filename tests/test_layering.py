@@ -25,7 +25,6 @@ FORBIDDEN = {
     "repro.obs.export",
     "repro.obs.aggregate",
     "repro.obs.flightrec",
-    "repro.obs.profiler",
     "repro.obs.slo",
 }
 

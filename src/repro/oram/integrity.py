@@ -23,6 +23,29 @@ primitives the self-healing runtime builds on:
 * :meth:`MerkleTree.rehash_bucket`, the O(L) root-ward rehash a healed
   bucket needs.
 
+**What ``update_path`` re-authenticates.**  The tree records which
+buckets were written through it since they were last authenticated
+(:attr:`~repro.oram.tree.OramTree.dirty`): the slots a demand read
+clears, the whole path an eviction read empties and the whole path a
+path write stores, plus any bucket-view assignment.  ``update_path(leaf)``
+re-derives slot pre-images and directory entries for exactly those
+buckets on the path, then recomputes node digests root-ward from the
+deepest one; a dummy read, which moves nothing, hashes nothing.  The
+result is byte-identical to re-deriving the whole path from its live
+contents, because an unwritten bucket's live contents *are* its stored
+pre-images.
+
+**Why tampering is never laundered.**  A change the tree did not record
+— the modelled bit flip mutates a :class:`~repro.oram.block.Block` in
+place — is never re-derived, so its slot keeps its authenticated
+pre-image and the next ``verify_path``/``localize`` over it fails or
+heals.  Re-deriving whole paths from their live contents would instead
+certify such a change as authentic on the next access to that path.  A
+recorded write is re-derived only after the path it lies on was
+authenticated: the integrated controller (``OramConfig(integrity=True)``)
+runs ``verify_path``/``heal_path`` on every path before reading it, and
+writes a path only right after the verified read of that same path.
+
 Block contents hash through the canonical byte codec of
 :mod:`repro.serialize` (``payload_bytes``), *not* ``repr``: ``repr`` is
 neither stable across processes (default object reprs embed ``id()``) nor
@@ -35,7 +58,9 @@ our benchmarks.
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.oram.block import Block
 from repro.oram.tree import OramTree
@@ -56,6 +81,34 @@ _NONE_PAYLOAD_BYTES = payload_bytes(None)
 
 _sha256 = hashlib.sha256
 
+# A slot's *frame* is its pre-image behind a 4-byte little-endian length
+# prefix — exactly the bytes a node digest hashes for that slot.  The
+# prefix keeps the encoding injective: pre-images vary in length with
+# their payloads, so without it two different buckets could concatenate
+# to the same byte stream.  A real slot's frame starts with one packed
+# head: length, marker byte, address, leaf, signed version, shadow bit
+# (the same bytes as the per-field ``int.to_bytes`` rendering).
+_FRAME_HEAD = struct.Struct("<IBQQqB")
+_HEAD_BYTES = 26  # pre-image bytes before the payload: 1 + 8 + 8 + 8 + 1
+_DUMMY_FRAME = struct.pack("<I", len(_DUMMY_BYTES)) + _DUMMY_BYTES
+
+
+def _slot_frame(blk: Block | None) -> bytes:
+    """Length-prefixed pre-image of one slot (see :func:`_slot_bytes`).
+
+    Frames are what the Merkle tree stores and compares: equal frames
+    mean equal pre-images, and a node digest is one hash over its slots'
+    frames plus the child digests.
+    """
+    if blk is None:
+        return _DUMMY_FRAME
+    payload = blk.payload
+    data = _NONE_PAYLOAD_BYTES if payload is None else payload_bytes(payload)
+    return _FRAME_HEAD.pack(
+        _HEAD_BYTES + len(data), 1, blk.addr, blk.leaf, blk.version,
+        blk.is_shadow,
+    ) + data
+
 
 def _slot_bytes(blk: Block | None) -> bytes:
     """Canonical pre-image of one bucket slot's logical contents.
@@ -63,25 +116,10 @@ def _slot_bytes(blk: Block | None) -> bytes:
     Dummies render as a fixed marker; blocks render their full identity
     (address, leaf, version, shadow bit, canonical payload bytes) so any
     stale or forged replacement changes the bytes — and therefore the
-    digest.  This is the unit the batched hasher feeds to ``sha256`` and
-    the unit localization compares: byte equality of pre-images is
-    exactly the property slot-digest equality certified, checked without
-    hashing anything.
+    digest.  Byte equality of pre-images is exactly the property
+    slot-digest equality certifies, checked without hashing anything.
     """
-    if blk is None:
-        return _DUMMY_BYTES
-    return b"".join(
-        (
-            b"\x01",
-            blk.addr.to_bytes(8, "little", signed=False),
-            blk.leaf.to_bytes(8, "little", signed=False),
-            blk.version.to_bytes(8, "little", signed=True),
-            b"\x01" if blk.is_shadow else b"\x00",
-            _NONE_PAYLOAD_BYTES
-            if blk.payload is None
-            else payload_bytes(blk.payload),
-        )
-    )
+    return _slot_frame(blk)[4:]
 
 
 def _slot_digest(blk: Block | None) -> bytes:
@@ -96,15 +134,15 @@ def _slot_digest(blk: Block | None) -> bytes:
     return _sha256(_slot_bytes(blk)).digest()
 
 
-@dataclass(slots=True, frozen=True)
-class SlotMeta:
+class SlotMeta(NamedTuple):
     """What a tree slot held at its last authenticated rehash.
 
     This is the recovery directory entry for one slot.  Conceptually the
     payload lives in the durable replica a repair fetch would read from;
     the simulator keeps it beside the digest so the rebuild branch of the
     escalation ladder is exercisable without modelling a second storage
-    tier.
+    tier.  Entries are decoded on demand from the slot's stored frame
+    (plus its payload object), so the tree keeps no per-slot records.
     """
 
     addr: int
@@ -154,32 +192,42 @@ class CorruptSlot:
 class MerkleTree:
     """Hash tree mirroring an :class:`~repro.oram.tree.OramTree`.
 
-    Node digest = H(slot digests || left child digest || right child
-    digest).  Only :attr:`root` needs trusted storage; the per-node
-    digests live (conceptually) in untrusted memory alongside the buckets,
-    while the per-slot digest/metadata directory models the authenticated
-    repair source recovery falls back on.
+    Node digest = H(length-prefixed slot pre-images || left child digest
+    || right child digest).  Only :attr:`root` needs trusted storage; the
+    per-node digests live (conceptually) in untrusted memory alongside the
+    buckets, while the per-slot digest/metadata directory models the
+    authenticated repair source recovery falls back on.
 
     Args:
         tree: The ORAM tree to authenticate.  The Merkle tree reads bucket
-            contents directly from it on (re)hashing.
+            contents directly from it on (re)hashing, and switches on the
+            tree's write record (:attr:`~repro.oram.tree.OramTree.dirty`)
+            that :meth:`update_path` consumes.
+
+    Attributes:
+        slots_rehashed: Slot pre-images re-derived by :meth:`update_path`
+            (a whole bucket's ``z`` slots per re-derived bucket) — the
+            exact work counter of the incremental update.
     """
 
     def __init__(self, tree: OramTree) -> None:
         self.tree = tree
+        if tree.dirty is None:
+            tree.dirty = set()
+        self.slots_rehashed = 0
         self._digests: list[bytes] = [b""] * tree.num_buckets
-        # Per-slot canonical pre-image bytes from the last authenticated
-        # rehash.  Storing pre-images instead of digests is what makes
-        # both hashing and localization batched: a bucket's node digest is
-        # one ``sha256`` pass over its (length-prefixed) slot bytes plus
-        # the child digests, and a corrupt slot is found by comparing
-        # bytes — no per-slot digest objects anywhere on the hot path.
-        self._slot_preimages: list[list[bytes]] = [
-            [] for _ in range(tree.num_buckets)
-        ]
-        self._slot_meta: list[list[SlotMeta | None]] = [
-            [] for _ in range(tree.num_buckets)
-        ]
+        # Per-slot frames (length-prefixed pre-images) from the last
+        # authenticated rehash, flat like the tree's slot store (bucket i
+        # owns frames[i*z : (i+1)*z]).  Storing frames instead of digests
+        # is what makes both hashing and localization batched: a bucket's
+        # node digest is one ``sha256`` over its joined frames plus the
+        # child digests, and a corrupt slot is found by comparing bytes —
+        # no per-slot digest objects anywhere on the hot path.
+        self._frames: list[bytes] = [_DUMMY_FRAME] * (tree.num_buckets * tree.z)
+        # The directory is the frames themselves (address, leaf, version
+        # and shadow bit decode from the packed head) plus the payload
+        # *objects* of the slots that carry one, keyed by flat slot.
+        self._payloads: dict[int, object] = {}
         self._rebuild_all()
 
     @property
@@ -194,61 +242,68 @@ class MerkleTree:
         hash-free equivalent of comparing slot digests; recovery's scrub
         loops use it to skip a ``sha256`` per inspected slot.
         """
-        return self._slot_preimages[bucket_index][slot]
+        return self._frames[bucket_index * self.tree.z + slot][4:]
 
     def slot_digest(self, bucket_index: int, slot: int) -> bytes:
         """Trusted digest of one slot (from the last authenticated rehash)."""
-        preimage = self._slot_preimages[bucket_index][slot]
-        if preimage == _DUMMY_BYTES:
+        frame = self._frames[bucket_index * self.tree.z + slot]
+        if frame == _DUMMY_FRAME:
             return _DUMMY_DIGEST
-        return _sha256(preimage).digest()
+        return _sha256(frame[4:]).digest()
 
     def slot_meta(self, bucket_index: int, slot: int) -> SlotMeta | None:
         """Directory entry for one slot (``None`` = authenticated dummy)."""
-        return self._slot_meta[bucket_index][slot]
+        flat = bucket_index * self.tree.z + slot
+        frame = self._frames[flat]
+        if frame == _DUMMY_FRAME:
+            return None
+        _, _, addr, leaf, version, is_shadow = _FRAME_HEAD.unpack_from(frame)
+        return SlotMeta(
+            addr, leaf, version, bool(is_shadow), self._payloads.get(flat)
+        )
 
     # ------------------------------------------------------------------
-    def _children(self, index: int) -> tuple[int | None, int | None]:
-        left = 2 * index + 1
-        right = 2 * index + 2
-        if left >= self.tree.num_buckets:
-            return None, None
-        return left, right
+    def _node_digest(self, index: int, frames: list[bytes]) -> bytes:
+        """One-pass bucket digest: H(slot frames || left || right child).
 
-    def _node_digest(self, index: int, slot_preimages: list[bytes]) -> bytes:
-        """One-pass bucket digest: H(len-prefixed slot bytes || children).
-
-        The 4-byte length prefix keeps the encoding injective — slot
-        pre-images vary in length with their payloads, so without it two
-        different buckets could concatenate to the same byte stream.
+        ``frames`` is a scratch list: the child digests are appended to it.
         """
-        h = _sha256()
-        update = h.update
-        for preimage in slot_preimages:
-            update(len(preimage).to_bytes(4, "little"))
-            update(preimage)
-        left, right = self._children(index)
-        if left is not None:
-            update(self._digests[left])
-            update(self._digests[right])
-        return h.digest()
+        left = 2 * index + 1
+        if left < self.tree.num_buckets:
+            digests = self._digests
+            frames.append(digests[left])
+            frames.append(digests[left + 1])
+        return _sha256(b"".join(frames)).digest()
 
-    def _rehash(self, index: int) -> None:
-        """Re-authenticate one bucket from its live contents."""
-        bucket = self.tree.bucket(index)
-        preimages = [_slot_bytes(blk) for blk in bucket]
-        self._slot_preimages[index] = preimages
-        self._slot_meta[index] = [
-            None
-            if blk is None
-            else SlotMeta(blk.addr, blk.leaf, blk.version, blk.is_shadow, blk.payload)
-            for blk in bucket
-        ]
-        self._digests[index] = self._node_digest(index, preimages)
+    def _authenticate(self, index: int) -> None:
+        """Record bucket ``index``'s live contents as its trusted frames,
+        directory entries and node digest."""
+        z = self.tree.z
+        base = index * z
+        slots = self.tree._slots
+        frames = self._frames
+        payloads = self._payloads
+        for flat in range(base, base + z):
+            blk = slots[flat]
+            frames[flat] = _slot_frame(blk)
+            if blk is not None and blk.payload is not None:
+                payloads[flat] = blk.payload
+            elif payloads:
+                payloads.pop(flat, None)
+        self._digests[index] = self._node_digest(index, frames[base:base + z])
+
+    def _redigest(self, index: int) -> None:
+        """Recompute a node digest from its stored frames."""
+        z = self.tree.z
+        self._digests[index] = self._node_digest(
+            index, self._frames[index * z:(index + 1) * z]
+        )
 
     def _rebuild_all(self) -> None:
         for index in range(self.tree.num_buckets - 1, -1, -1):
-            self._rehash(index)
+            self._authenticate(index)
+        # Every bucket was just re-derived from its live contents.
+        self.tree.dirty.clear()
 
     # ------------------------------------------------------------------
     def verify_path(self, leaf: int) -> None:
@@ -259,9 +314,12 @@ class MerkleTree:
         — a tampered bucket, a stale digest, a forged sibling — raises
         :class:`IntegrityError`.  One ``sha256`` pass per bucket.
         """
-        path = self.tree.path_indices(leaf)
-        for index in reversed(path):
-            live = [_slot_bytes(blk) for blk in self.tree.bucket(index)]
+        tree = self.tree
+        slots = tree._slots
+        z = tree.z
+        for index in reversed(tree.path_indices(leaf)):
+            base = index * z
+            live = [_slot_frame(blk) for blk in slots[base:base + z]]
             if self._node_digest(index, live) != self._digests[index]:
                 level = self.tree.level_of_bucket(index)
                 raise IntegrityError(
@@ -270,32 +328,51 @@ class MerkleTree:
                 )
 
     def update_path(self, leaf: int) -> bytes:
-        """Re-hash path ``leaf`` after a path write; returns the new root.
+        """Re-authenticate what was written on path ``leaf``; returns the root.
 
-        Only the path nodes change (their buckets were rewritten); sibling
-        digests are reused, so the cost is O(L) hashes — the standard
-        Merkle update the hardware performs during Step-6.
+        Only buckets the tree recorded as written (see the module
+        docstring) are re-derived; node digests are then recomputed from
+        the deepest of them up to the root, reusing every stored sibling
+        digest — O(L) hashes at most, the standard Merkle update the
+        hardware performs during Step-6, and none when nothing on the
+        path was written.
         """
-        path = self.tree.path_indices(leaf)
-        for index in reversed(path):
-            self._rehash(index)
-        return self.root
+        tree = self.tree
+        if not 0 <= leaf < tree.num_leaves:
+            raise ValueError(f"leaf {leaf} out of range 0..{tree.num_leaves - 1}")
+        dirty = tree.dirty
+        if not dirty:
+            return self._digests[0]
+        levels = tree.levels
+        changed = False
+        for level in range(levels, -1, -1):
+            index = (1 << level) - 1 + (leaf >> (levels - level))
+            if index in dirty:
+                dirty.discard(index)
+                self._authenticate(index)
+                self.slots_rehashed += tree.z
+                changed = True
+            elif changed:
+                self._redigest(index)
+        return self._digests[0]
 
     # ------------------------------------------------------------------
     # Localization + incremental rehash (the recovery primitives)
     # ------------------------------------------------------------------
     def _localize_bucket(self, index: int) -> list[CorruptSlot]:
-        bucket = self.tree.bucket(index)
-        expected = self._slot_preimages[index]
+        z = self.tree.z
+        base = index * z
+        slots = self.tree._slots
+        frames = self._frames
         out: list[CorruptSlot] = []
-        for slot in range(len(bucket)):
-            if _slot_bytes(bucket[slot]) != expected[slot]:
+        for slot in range(z):
+            if _slot_frame(slots[base + slot]) != frames[base + slot]:
                 out.append(
                     CorruptSlot(
                         bucket=index,
                         level=self.tree.level_of_bucket(index),
                         slot=slot,
-                        expected=self._slot_meta[index][slot],
+                        expected=self.slot_meta(index, slot),
                         digest=self.slot_digest(index, slot),
                     )
                 )
@@ -323,12 +400,11 @@ class MerkleTree:
         recomputed from its (unchanged) stored slot pre-images — O(L)
         hashes.
         """
-        self._rehash(index)
+        self.tree.dirty.discard(index)
+        self._authenticate(index)
         while index > 0:
             index = (index - 1) // 2
-            self._digests[index] = self._node_digest(
-                index, self._slot_preimages[index]
-            )
+            self._redigest(index)
         return self.root
 
 
@@ -352,7 +428,9 @@ class VerifiedOram:
 
     def __init__(self, controller) -> None:
         self.controller = controller
-        self.merkle = MerkleTree(controller.tree)
+        # An ``integrity=True`` controller already authenticates its tree;
+        # a second Merkle tree would compete for the tree's write record.
+        self.merkle = controller.integrity or MerkleTree(controller.tree)
         self.verified_paths = 0
 
     @property

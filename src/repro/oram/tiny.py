@@ -548,6 +548,9 @@ class TinyOramController:
         tree = self.tree
         z = tree.z
         slots = tree._slots
+        # Write record for the incremental Merkle update (``None`` when
+        # integrity is off: nothing is recorded).
+        dirty = tree.dirty
         onchip = now + self.config.onchip_latency
         stash = self.stash
         stash_real = stash._real
@@ -602,6 +605,8 @@ class TinyOramController:
                                 else:
                                     served_from = SERVED_PATH
                         slots[i] = None
+                        if dirty is not None:
+                            dirty.add(base // z)
                         if not blk.is_shadow:
                             stash_insert(blk, level)
                         # Shadow copies of the requested block are
@@ -627,15 +632,18 @@ class TinyOramController:
                     elif absorb_all:
                         slots[i] = None
                         stash_insert(blk, level)
+        if absorb_all:
+            # An absorbing read empties the whole path.
+            tree.mark_path(leaf)
         if observed:
             bus.emit(SpanFinished(name="stash_scan", ts=now))
             bus.emit(
                 PathReadFinished(leaf=leaf, purpose=purpose, ts=timing.finish)
             )
         if self.integrity is not None:
-            # The read removed blocks from the path; re-hash it so the
-            # tree stays authenticated (the hardware re-encrypts and
-            # re-hashes what it streams back).
+            # The read removed blocks from the path; re-authenticate the
+            # buckets it cleared so the tree stays authenticated (the
+            # hardware re-encrypts and re-hashes what it streams back).
             if observed:
                 bus.emit(SpanStarted(
                     name="merkle", ts=timing.finish, detail="update"

@@ -19,6 +19,14 @@ level instead of two method calls per slot); :meth:`bucket` hands out a
 injection) keep their mutable-sequence semantics.  ``epoch`` counts
 structural mutations (whole-store replacement on restore) and keys the
 derived-value caches in :mod:`repro.oram.derived`.
+
+Write record: once a :class:`~repro.oram.integrity.MerkleTree` is built
+over the tree, ``dirty`` holds the heap indices of buckets written
+through the tree since their last authentication — path reads and
+writes, bucket-view assignment, and the slots
+:meth:`~repro.oram.tiny.TinyOramController._path_read` clears.  The
+Merkle update re-derives exactly those.  Without a Merkle tree ``dirty``
+stays ``None`` and nothing is recorded.
 """
 
 from __future__ import annotations
@@ -36,12 +44,14 @@ class _BucketView:
     and equality against plain sequences.
     """
 
-    __slots__ = ("_slots", "_base", "_z")
+    __slots__ = ("_tree", "_slots", "_index", "_base", "_z")
 
-    def __init__(self, slots: list[Block | None], base: int, z: int) -> None:
-        self._slots = slots
-        self._base = base
-        self._z = z
+    def __init__(self, tree: "OramTree", index: int) -> None:
+        self._tree = tree
+        self._slots = tree._slots
+        self._index = index
+        self._z = tree.z
+        self._base = index * tree.z
 
     def _resolve(self, index: int) -> int:
         if index < 0:
@@ -55,6 +65,9 @@ class _BucketView:
 
     def __setitem__(self, index: int, value: Block | None) -> None:
         self._slots[self._resolve(index)] = value
+        dirty = self._tree.dirty
+        if dirty is not None:
+            dirty.add(self._index)
 
     def __len__(self) -> int:
         return self._z
@@ -97,6 +110,9 @@ class OramTree:
         # Bumped whenever the store is structurally replaced (restore);
         # derived-value caches key on (geometry, epoch).
         self.epoch = 0
+        # Buckets written since their last authentication; ``None`` until
+        # a Merkle tree switches the record on (see the module docstring).
+        self.dirty: set[int] | None = None
 
     # ------------------------------------------------------------------
     # Addressing
@@ -130,7 +146,7 @@ class OramTree:
 
     def bucket(self, index: int) -> _BucketView:
         """Mutable view of bucket ``index``'s slot sequence."""
-        return _BucketView(self._slots, index * self.z, self.z)
+        return _BucketView(self, index)
 
     @staticmethod
     def common_level(leaf_a: int, leaf_b: int, levels: int) -> int:
@@ -168,6 +184,7 @@ class OramTree:
             for slot in range(z):
                 out.append((level, slot, slots[base + slot]))
                 slots[base + slot] = None
+        self.mark_path(leaf)
         return out
 
     def write_path(self, leaf: int, contents: dict[tuple[int, int], Block]) -> None:
@@ -188,6 +205,7 @@ class OramTree:
             base = ((1 << level) - 1 + (leaf >> (levels - level))) * z
             for slot in range(z):
                 slots[base + slot] = get((level, slot))
+        self.mark_path(leaf)
 
     def write_path_buffer(self, leaf: int, buf: list[Block | None]) -> None:
         """Write a preallocated flat path buffer onto path ``leaf``.
@@ -204,6 +222,17 @@ class OramTree:
             base = ((1 << level) - 1 + (leaf >> (levels - level))) * z
             off = level * z
             slots[base:base + z] = buf[off:off + z]
+        self.mark_path(leaf)
+
+    def mark_path(self, leaf: int) -> None:
+        """Record every bucket on path ``leaf`` as written."""
+        dirty = self.dirty
+        if dirty is not None:
+            levels = self.levels
+            dirty.update([
+                (1 << level) - 1 + (leaf >> (levels - level))
+                for level in range(levels + 1)
+            ])
 
     # ------------------------------------------------------------------
     # Introspection helpers (testing / statistics)

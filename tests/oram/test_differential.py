@@ -15,13 +15,18 @@ hypothesis-driven tests pin the equivalence:
 * Merkle digests: the batched pre-image hasher vs per-slot ``sha256``
   digests, including localization under injected bit-flip-style faults
   and post-heal re-verification;
+* Merkle maintenance: the incremental ``update_path`` (only recorded
+  buckets re-derived) vs a from-scratch ``MerkleTree`` rebuild after
+  every access, and the packed slot pre-image vs its ``to_bytes`` form;
 * hot-cache hotness: the merged ``_all`` view vs a per-set scan;
 * posmap init memo: the cache-hit replay vs an uncached draw.
 """
 
 import hashlib
+import json
 from random import Random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -32,13 +37,16 @@ from repro.oram.block import Block
 from repro.oram.config import OramConfig
 from repro.oram.derived import DerivedCache, bit_reverse_table
 from repro.oram.integrity import (
+    IntegrityError,
     MerkleTree,
     _slot_bytes,
     _slot_digest,
+    _slot_frame,
 )
 from repro.oram.posmap import PositionMap
 from repro.oram.tiny import TinyOramController
 from repro.oram.tree import OramTree
+from repro.serialize import payload_bytes
 
 # ----------------------------------------------------------------------
 # Eviction-leaf order
@@ -360,3 +368,172 @@ def test_healed_run_matches_fault_free_reference(seed):
     assert faulted.tree.snapshot_state() == reference.tree.snapshot_state()
     assert faulted.stash.snapshot_state() == reference.stash.snapshot_state()
     assert faulted.posmap._leaf == reference.posmap._leaf
+
+
+# ----------------------------------------------------------------------
+# Incremental Merkle update vs a from-scratch rebuild
+# ----------------------------------------------------------------------
+
+
+def _slot_bytes_reference(blk: Block | None) -> bytes:
+    """Per-field ``to_bytes`` rendering the packed pre-image replaces."""
+    if blk is None:
+        return b"\x00dummy"
+    return b"".join((
+        b"\x01",
+        blk.addr.to_bytes(8, "little", signed=False),
+        blk.leaf.to_bytes(8, "little", signed=False),
+        blk.version.to_bytes(8, "little", signed=True),
+        b"\x01" if blk.is_shadow else b"\x00",
+        payload_bytes(blk.payload),
+    ))
+
+
+@given(blk=st.one_of(st.none(), blocks))
+@settings(max_examples=200, deadline=None)
+def test_packed_slot_preimage_matches_to_bytes_reference(blk):
+    reference = _slot_bytes_reference(blk)
+    assert _slot_bytes(blk) == reference
+    assert _slot_frame(blk) == len(reference).to_bytes(4, "little") + reference
+
+
+def _assert_matches_rebuild(ctl) -> None:
+    """The controller's incremental Merkle state equals a fresh rebuild."""
+    # Every write an access recorded was consumed by its own update.
+    assert ctl.tree.dirty == set()
+    merkle = ctl.integrity
+    reference = MerkleTree(ctl.tree)
+    assert merkle.root == reference.root
+    assert merkle._digests == reference._digests
+    assert merkle._frames == reference._frames
+    assert merkle._payloads == reference._payloads
+    # Directory entries decode to exactly what each slot holds.
+    for index, slot, blk in ctl.tree.iter_blocks():
+        assert merkle.slot_meta(index, slot) == (
+            blk.addr, blk.leaf, blk.version, blk.is_shadow, blk.payload
+        )
+
+
+def _flip_in_place(ctl, rank: int) -> None:
+    """The fault injector's bit flip: mutate an occupied slot in place."""
+    occupied = [blk for _, _, blk in ctl.tree.iter_blocks()]
+    if occupied:
+        blk = occupied[rank % len(occupied)]
+        blk.version ^= 1
+        blk.payload = ("bitflip", blk.payload)
+
+
+merkle_ops = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["read", "write"]), st.integers(0, 10**6)),
+        st.tuples(st.sampled_from(["dummy", "evict", "snapshot", "restore"]),
+                  st.just(0)),
+        st.tuples(st.just("flip"), st.integers(0, 10**6)),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    policy=st.sampled_from(["recover", "degrade"]),
+    ops=merkle_ops,
+)
+@settings(
+    max_examples=25, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_incremental_merkle_matches_rebuild_after_every_access(
+    seed, policy, ops
+):
+    """Re-authenticating only the recorded buckets is byte-identical to
+    re-deriving the whole tree, across demand reads and writes, dummy
+    reads, evictions, healed bit flips and checkpoint restores."""
+    # A scrub every access heals each flip before the next path read, so
+    # after every access the tree holds only authenticated contents.
+    cfg = OramConfig(levels=4, z=4, a=3, integrity=True, recovery=policy,
+                     scrub_interval=1)
+    ctl = ShadowOramController(cfg, Random(seed), ShadowConfig.static(2))
+    _assert_matches_rebuild(ctl)
+    saved = None
+    for i, (kind, arg) in enumerate(ops):
+        if kind == "flip":
+            _flip_in_place(ctl, arg)
+            continue
+        if kind == "snapshot":
+            saved = json.dumps(ctl.snapshot_state())
+            continue
+        if kind == "restore":
+            if saved is None:
+                continue
+            ctl.restore_state(json.loads(saved))
+        elif kind == "dummy":
+            ctl.dummy_access()
+        elif kind == "evict":
+            ctl._ro_since_eviction = cfg.a - 1
+            assert ctl.dummy_access().evicted
+        else:
+            addr = arg % ctl.num_blocks
+            ctl.access(addr, kind, payload=i if kind == "write" else None)
+        _assert_matches_rebuild(ctl)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**16))
+@settings(
+    max_examples=10, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_update_path_never_absorbs_in_place_tampering(seed):
+    """An in-place bit flip is never re-derived by ``update_path``.
+
+    Even a path update that runs without a preceding verify keeps the
+    flipped slot's authenticated pre-image, so the next verify fails
+    (``raise``) or heals it back to the fault-free state (``recover``).
+    """
+    def build(policy):
+        cfg = OramConfig(levels=4, z=4, a=3, integrity=True, recovery=policy)
+        return TinyOramController(cfg, Random(seed))
+
+    rng = Random(seed ^ 0xF11F)
+    ops = [(rng.randrange(40), rng.random() < 0.3) for _ in range(30)]
+
+    def drive(ctl, start, stop):
+        for raw_addr, is_write in ops[start:stop]:
+            addr = raw_addr % ctl.num_blocks
+            if is_write:
+                ctl.access(addr, "write", payload=raw_addr)
+            else:
+                ctl.access(addr, "read")
+
+    reference = build("recover")
+    drive(reference, 0, len(ops))
+    for policy in ("raise", "recover"):
+        ctl = build(policy)
+        drive(ctl, 0, 10)
+        merkle = ctl.integrity
+        index, slot, blk = next(iter(ctl.tree.iter_blocks()))
+        trusted = merkle.slot_bytes(index, slot)
+        root = merkle.root
+        blk.version ^= 1
+        leaf = next(
+            leaf for leaf in range(ctl.tree.num_leaves)
+            if ctl.tree.on_path(leaf, index)
+        )
+        assert merkle.update_path(leaf) == root
+        assert merkle.slot_bytes(index, slot) == trusted != _slot_bytes(blk)
+        assert [(cs.bucket, cs.slot) for cs in merkle.localize(leaf)] == [
+            (index, slot)
+        ]
+        if policy == "raise":
+            with pytest.raises(IntegrityError):
+                merkle.verify_path(leaf)
+            continue
+        # Under recover the flip is healed as soon as an access reads its
+        # path; a final scrub heals it if no access did.
+        drive(ctl, 10, len(ops))
+        ctl.recovery.scrub_tree()
+        assert ctl.recovery.stats.recoveries == 1
+        assert ctl.tree.snapshot_state() == reference.tree.snapshot_state()
+        assert merkle.root == reference.integrity.root
+        _assert_matches_rebuild(ctl)
